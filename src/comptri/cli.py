@@ -10,23 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .bell import bell_invert_identity_check
+from . import verify
 from .errors import ComptriError, EnumerationBudgetError
-from .identities import (
-    check_binomial_inversion,
-    check_chebyshev,
-    check_closed_forms,
-    check_power_expansion,
-    check_word_binomial,
-)
-from .pascal import from_rows, identity, mat_mul, mat_pow, pascal_lower, shifted_pascal_inverse
 from .sequences import Preset, iterate_invert, make_seed
 from .triangle import (
     DEFAULT_ORDER_CAP,
-    row_sum,
     triangle_bell,
     triangle_convolution,
     triangle_pascal,
@@ -38,15 +28,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-_MAPPED_PRESETS = (
-    Preset.ONES,
-    Preset.FIB,
-    Preset.ODD,
-    Preset.NATURAL,
-    Preset.GE2,
-    Preset.TWO_THREE,
-)
 
 _BUILDERS = {
     "recurrence": triangle_recurrence,
@@ -191,153 +172,18 @@ def _cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return EXIT_OK if all_match else EXIT_FAIL
 
 
-def _suite_row_sums(cap: int | None, budget: int) -> tuple[int, list[str]]:
-    n_max = cap if cap is not None else 30
-    checks = 0
-    fails: list[str] = []
-    for preset in _MAPPED_PRESETS:
-        f0 = make_seed(preset, n_max)
-        order_cap = max(n_max, DEFAULT_ORDER_CAP)
-        base = triangle_recurrence(f0, 1, n_max, order_cap=order_cap)
-        for m in range(1, 6):
-            tri = triangle_recurrence(f0, m, n_max, order_cap=order_cap)
-            fm = iterate_invert(f0, m)
-            for n in range(1, n_max + 1):
-                checks += 2
-                if row_sum(tri, n) != fm(n):
-                    fails.append(f"{preset.value} m={m} n={n}: row sum != transform")
-                expansion = sum(m ** (i - 1) * base.value(n, i) for i in range(1, n + 1))
-                if expansion != fm(n):
-                    fails.append(f"{preset.value} m={m} n={n}: depth-1 expansion != transform")
-    return checks, fails
-
-
-def _suite_binomial(cap: int | None, budget: int) -> tuple[int, list[str]]:
-    n_max = cap if cap is not None else 20
-    checks = 0
-    fails: list[str] = []
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            checks += 1
-            if not check_binomial_inversion(n, k):
-                fails.append(f"inversion identity fails at n={n} k={k}")
-    for m in range(2, 6):
-        for n in range(1, min(n_max, 18) + 1):
-            for k in range(1, n + 1):
-                checks += 1
-                if not check_power_expansion(m, n, k):
-                    fails.append(f"power expansion fails at m={m} n={n} k={k}")
-    return checks, fails
-
-
-def _suite_bell(cap: int | None, budget: int) -> tuple[int, list[str]]:
-    n_max = cap if cap is not None else 10
-    checks = 0
-    fails: list[str] = []
-    for preset in _MAPPED_PRESETS:
-        checks += 1
-        if not bell_invert_identity_check(make_seed(preset, n_max).values, n_max):
-            fails.append(f"Bell identity fails for {preset.value}")
-    return checks, fails
-
-
-def _suite_pascal(cap: int | None, budget: int) -> tuple[int, list[str]]:
-    order = cap if cap is not None else 16
-    checks = 0
-    fails: list[str] = []
-    ell = pascal_lower(order)
-    for preset in _MAPPED_PRESETS:
-        f0 = make_seed(preset, order)
-        mats = [
-            from_rows(triangle_recurrence(f0, m, order).rows) for m in range(1, 5)
-        ]
-        for m in range(2, 5):
-            checks += 2
-            if mat_mul(mats[m - 2], ell).rows != mats[m - 1].rows:
-                fails.append(f"{preset.value}: step relation fails at m={m}")
-            if mat_mul(mats[0], mat_pow(ell, m - 1)).rows != mats[m - 1].rows:
-                fails.append(f"{preset.value}: power relation fails at m={m}")
-    for n in range(1, min(order, 12) + 1):
-        q, qinv = shifted_pascal_inverse(n)
-        checks += 2
-        if mat_mul(q, qinv).rows != identity(n).rows:
-            fails.append(f"shifted Pascal inverse fails on the right at order {n}")
-        if mat_mul(qinv, q).rows != identity(n).rows:
-            fails.append(f"shifted Pascal inverse fails on the left at order {n}")
-    pow_order = min(cap, 20) if cap is not None else 20
-    ell = pascal_lower(pow_order)
-    for m in range(1, 7):
-        power = mat_pow(ell, m)
-        checks += 1
-        expected = tuple(
-            tuple(m ** (i - j) * comb(i - 1, j - 1) for j in range(1, i + 1))
-            for i in range(1, pow_order + 1)
-        )
-        if power.rows != expected:
-            fails.append(f"Pascal power m={m} differs from the closed form")
-    return checks, fails
-
-
-def _suite_closed_forms(cap: int | None, budget: int) -> tuple[int, list[str]]:
-    order = cap if cap is not None else 20
-    checks = 0
-    fails: list[str] = []
-    for preset in _MAPPED_PRESETS:
-        for result in check_closed_forms(preset, order):
-            checks += 1
-            if not result.ok:
-                fails.append(
-                    f"{preset.value} m={result.m} n={result.n} k={result.k}: "
-                    f"engine {result.engine} != formula {result.formula}"
-                )
-    return checks, fails
-
-
-def _suite_chebyshev(cap: int | None, budget: int) -> tuple[int, list[str]]:
-    total = cap if cap is not None else 16
-    checks = 0
-    fails: list[str] = []
-    for n in range(1, total):
-        for k in range(1, min(n, total - n) + 1):
-            checks += 1
-            if not check_chebyshev(n, k, budget):
-                fails.append(f"Chebyshev coefficient check fails at n={n} k={k}")
-    return checks, fails
-
-
-def _suite_word_binomial(cap: int | None, budget: int) -> tuple[int, list[str]]:
-    total = cap if cap is not None else 14
-    checks = 0
-    fails: list[str] = []
-    for n in range(1, total):
-        for k in range(1, total - n + 1):
-            checks += 1
-            if not check_word_binomial(n, k, budget):
-                fails.append(f"word-count identity fails at n={n} k={k}")
-    return checks, fails
-
-
-_SUITES: dict[str, Callable[[int | None, int], tuple[int, list[str]]]] = {
-    "row-sums": _suite_row_sums,
-    "binomial": _suite_binomial,
-    "bell": _suite_bell,
-    "pascal": _suite_pascal,
-    "closed-forms": _suite_closed_forms,
-    "chebyshev": _suite_chebyshev,
-    "word-binomial": _suite_word_binomial,
-}
-
-
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    names = [args.suite] if args.suite else list(_SUITES)
+    if args.max is not None and args.max < 1:
+        parser.error("--max must be at least 1")
+    suites = verify.suites(args.max, args.budget)
     total_checks = 0
     total_fails = 0
-    for name in names:
-        checks, fails = _SUITES[name](args.max, args.budget)
-        total_checks += checks
-        total_fails += len(fails)
-        sys.stdout.write(f"{name}: {checks} checks, {len(fails)} failures\n")
-        for line in fails[:10]:
+    for name in [args.suite] if args.suite else suites:
+        result = suites[name]()
+        total_checks += result.checks
+        total_fails += len(result.failures)
+        sys.stdout.write(f"{name}: {result.checks} checks, {len(result.failures)} failures\n")
+        for line in result.failures[:10]:
             sys.stderr.write(f"  {name}: {line}\n")
     verdict = "PASS" if total_fails == 0 else "FAIL"
     sys.stdout.write(f"{verdict}: {total_checks} checks, {total_fails} failures\n")
@@ -377,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("verify", help="run the identity verification suites")
-    p.add_argument("--suite", choices=sorted(_SUITES), default=None, help="run one suite")
+    p.add_argument("--suite", choices=sorted(verify.suites()), default=None, help="run one suite")
     p.add_argument("--max", type=int, default=None, help="cap the suite's main sweep bound")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="word-space bound")
     p.set_defaults(handler=_cmd_verify)

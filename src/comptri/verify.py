@@ -1,0 +1,235 @@
+"""Identity sweeps, shared by ``comptri verify`` and the acceptance tests.
+
+Each sweep compares two independent routes to the same numbers over a
+range of inputs and returns a :class:`Sweep` record.  Every bound is a
+plain argument, so the CLI and the acceptance criteria run the same code
+at their own bounds.  :func:`suites` names the CLI's suites and their
+default bounds.
+
+Sweeps call the checkers and builders through this module's names, so a
+tracer that replaces a module attribute sees every call.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+from math import comb
+from time import perf_counter
+from typing import Callable, Iterable, Iterator, Sequence
+
+from .bell import bell_invert_identity_check
+from .identities import (
+    check_binomial_inversion,
+    check_chebyshev,
+    check_closed_forms,
+    check_power_expansion,
+    check_word_binomial,
+)
+from .pascal import from_rows, identity, mat_mul, mat_pow, pascal_lower, shifted_pascal_inverse
+from .sequences import ArithmeticFunction, Preset, iterate_invert, make_seed, transform_via_triangle
+from .triangle import DEFAULT_ORDER_CAP, row_sum, triangle_recurrence
+from .words import DEFAULT_BUDGET
+
+PRESETS = tuple(p for p in Preset if p is not Preset.CUSTOM)
+DEPTHS = range(1, 6)
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """What one sweep did: its name, comparison count, failures and run time."""
+
+    name: str
+    checks: int
+    failures: tuple[str, ...]
+    elapsed_s: float
+
+
+def _sweep(comparisons: Callable[..., Iterator[bool | str]]) -> Callable[..., Sweep]:
+    """Turn a generator of comparisons into a sweep that runs them all.
+
+    Each comparison yields True when it holds and a description of the
+    failure when it does not; ``ok or f"..."`` formats failures only.
+    """
+
+    @functools.wraps(comparisons)
+    def run(*args, **kwargs) -> Sweep:
+        start = perf_counter()
+        checks = 0
+        failures: list[str] = []
+        for outcome in comparisons(*args, **kwargs):
+            checks += 1
+            if outcome is not True:
+                failures.append(outcome)
+        return Sweep(comparisons.__name__, checks, tuple(failures), perf_counter() - start)
+
+    return run
+
+
+def combine(*sweeps: Sweep) -> Sweep:
+    """One record for sweeps run one after another."""
+    return Sweep(
+        "+".join(s.name for s in sweeps),
+        sum(s.checks for s in sweeps),
+        tuple(f for s in sweeps for f in s.failures),
+        sum(s.elapsed_s for s in sweeps),
+    )
+
+
+def preset_seeds(n_terms: int) -> list[ArithmeticFunction]:
+    """f_0(1..n_terms) of each preset, labelled with its name."""
+    return [make_seed(p, n_terms) for p in PRESETS]
+
+
+@_sweep
+def row_sums(n_max: int):
+    """Row n of the depth-m triangle sums to f_m(n), for the presets, m <= 5, n <= n_max."""
+    order_cap = max(n_max, DEFAULT_ORDER_CAP)
+    for preset in PRESETS:
+        f0 = make_seed(preset, n_max)
+        for m in DEPTHS:
+            tri = triangle_recurrence(f0, m, n_max, order_cap=order_cap)
+            fm = iterate_invert(f0, m)
+            for n in range(1, n_max + 1):
+                yield row_sum(tri, n) == fm(n) or (
+                    f"{preset.value} m={m} n={n}: row sum != transform"
+                )
+
+
+@_sweep
+def depth_one_expansion(n_max: int):
+    """f_m(n) = sum_i m^(i-1) c_1(n, i), for the presets, m <= 5, n <= n_max."""
+    order_cap = max(n_max, DEFAULT_ORDER_CAP)
+    for preset in PRESETS:
+        f0 = make_seed(preset, n_max)
+        base = triangle_recurrence(f0, 1, n_max, order_cap=order_cap)
+        for m in DEPTHS:
+            fm = iterate_invert(f0, m)
+            for n in range(1, n_max + 1):
+                expansion = sum(m ** (i - 1) * base.value(n, i) for i in range(1, n + 1))
+                yield expansion == fm(n) or (
+                    f"{preset.value} m={m} n={n}: depth-1 expansion != transform"
+                )
+
+
+@_sweep
+def triangle_transform(n_max: int):
+    """transform_via_triangle(f_0, m, n) = f_m(n), for the presets, m <= 5, n <= n_max."""
+    for preset in PRESETS:
+        f0 = make_seed(preset, n_max)
+        for m in DEPTHS:
+            fm = iterate_invert(f0, m)
+            for n in range(1, n_max + 1):
+                yield transform_via_triangle(f0, m, n) == fm(n) or (
+                    f"{preset.value} m={m} n={n}: transform_via_triangle != transform"
+                )
+
+
+@_sweep
+def binomial_identities(n_max: int, expansion_n_max: int):
+    """The inversion identity for k <= n <= n_max, then the power expansion
+    for 2 <= m <= 5 and k <= n <= expansion_n_max."""
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            yield check_binomial_inversion(n, k) or f"inversion identity fails at n={n} k={k}"
+    for m in range(2, 6):
+        for n in range(1, expansion_n_max + 1):
+            for k in range(1, n + 1):
+                yield check_power_expansion(m, n, k) or (
+                    f"power expansion fails at m={m} n={n} k={k}"
+                )
+
+
+@_sweep
+def bell_identity(seeds: Sequence[ArithmeticFunction], n_max: int):
+    """The Bell argument-transform identity up to n_max, once per seed."""
+    for seed in seeds:
+        yield bell_invert_identity_check(seed.values, n_max) or (
+            f"Bell identity fails for {seed.label or list(seed.values)}"
+        )
+
+
+@_sweep
+def pascal_relations(order: int, inverse_max: int, power_orders: Iterable[int]):
+    """c_m = c_(m-1) L = c_1 L^(m-1) at ``order`` for the presets and m <= 4; the
+    shifted Pascal inverse pair at orders 1..inverse_max; and L^m against its
+    closed form m^(i-j) C(i-1, j-1) for m <= 6 at each of ``power_orders``."""
+    ell = pascal_lower(order)
+    for preset in PRESETS:
+        f0 = make_seed(preset, order)
+        mats = [from_rows(triangle_recurrence(f0, m, order).rows) for m in range(1, 5)]
+        for m in range(2, 5):
+            yield mat_mul(mats[m - 2], ell).rows == mats[m - 1].rows or (
+                f"{preset.value}: step relation fails at m={m}"
+            )
+            yield mat_mul(mats[0], mat_pow(ell, m - 1)).rows == mats[m - 1].rows or (
+                f"{preset.value}: power relation fails at m={m}"
+            )
+    for n in range(1, inverse_max + 1):
+        q, qinv = shifted_pascal_inverse(n)
+        yield mat_mul(q, qinv).rows == identity(n).rows or (
+            f"shifted Pascal inverse fails on the right at order {n}"
+        )
+        yield mat_mul(qinv, q).rows == identity(n).rows or (
+            f"shifted Pascal inverse fails on the left at order {n}"
+        )
+    for n in power_orders:
+        ell_n = pascal_lower(n)
+        for m in range(1, 7):
+            expected = tuple(
+                tuple(m ** (i - j) * comb(i - 1, j - 1) for j in range(1, i + 1))
+                for i in range(1, n + 1)
+            )
+            yield mat_pow(ell_n, m).rows == expected or (
+                f"Pascal power m={m} at order {n} differs from the closed form"
+            )
+
+
+@_sweep
+def closed_forms(order: int):
+    """Recurrence triangles against the closed binomial forms, presets, m <= 3, n <= order."""
+    for preset in PRESETS:
+        for r in check_closed_forms(preset, order):
+            yield r.ok or (
+                f"{preset.value} m={r.m} n={r.n} k={r.k}: engine {r.engine} != formula {r.formula}"
+            )
+
+
+@_sweep
+def chebyshev(total: int, budget: int = DEFAULT_BUDGET):
+    """Chebyshev coefficients, closed form and word count agree for n + k <= total."""
+    for n in range(1, total):
+        for k in range(1, min(n, total - n) + 1):
+            yield check_chebyshev(n, k, budget) or (
+                f"Chebyshev coefficient check fails at n={n} k={k}"
+            )
+
+
+@_sweep
+def word_binomial(total: int, budget: int = DEFAULT_BUDGET):
+    """C(n+k-1, 2k-1) equals the 01-avoiding ternary word count for n + k <= total."""
+    for n in range(1, total):
+        for k in range(1, total - n + 1):
+            yield check_word_binomial(n, k, budget) or f"word-count identity fails at n={n} k={k}"
+
+
+def suites(cap: int | None = None, budget: int = DEFAULT_BUDGET) -> dict[str, Callable[[], Sweep]]:
+    """The ``comptri verify`` suites in run order, each ready to run.
+
+    ``cap`` replaces every suite's main sweep bound, which is the suite's
+    default when None; ``budget`` bounds each word space the word-counting
+    suites enumerate.
+    """
+
+    def bound(default: int) -> int:
+        return default if cap is None else cap
+
+    return {
+        "row-sums": lambda: combine(row_sums(bound(30)), depth_one_expansion(bound(30))),
+        "binomial": lambda: binomial_identities(bound(20), min(bound(20), 18)),
+        "bell": lambda: bell_identity(preset_seeds(bound(10)), bound(10)),
+        "pascal": lambda: pascal_relations(bound(16), min(bound(16), 12), [min(bound(20), 20)]),
+        "closed-forms": lambda: closed_forms(bound(20)),
+        "chebyshev": lambda: chebyshev(bound(16), budget),
+        "word-binomial": lambda: word_binomial(bound(14), budget),
+    }

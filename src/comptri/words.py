@@ -113,15 +113,17 @@ def _check_budget(alphabet: int, length: int, budget: int) -> None:
 
 
 def _enumerate_chunks(alphabet: int, length: int) -> Iterator[np.ndarray]:
-    # words as uint8 digit rows, most significant position first
+    # words as digit rows, most significant position first, in the smallest
+    # unsigned dtype that holds every letter (uint8 for alphabets up to 256)
+    dtype = np.min_scalar_type(alphabet - 1)
     if length == 0:
-        yield np.zeros((1, 0), dtype=np.uint8)
+        yield np.zeros((1, 0), dtype=dtype)
         return
     total = alphabet**length
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
         idx = np.arange(lo, hi, dtype=np.int64)
-        digits = np.empty((hi - lo, length), dtype=np.uint8)
+        digits = np.empty((hi - lo, length), dtype=dtype)
         for pos in range(length - 1, -1, -1):
             digits[:, pos] = idx % alphabet
             idx //= alphabet
@@ -191,17 +193,11 @@ def mark_histogram(
 def count_words(model: WordModel, budget: int = DEFAULT_BUDGET) -> int:
     """Count the words the model accepts, by full enumeration."""
     _check_budget(model.alphabet, model.length, budget)
-    if model.marked_count is not None:
-        if model.marked_count > model.length:
-            return 0
-        hist = mark_histogram(
-            model.alphabet, model.length, model.restriction, model.marked_letter, budget
-        )
-        return hist[model.marked_count]
-    total = 0
-    for digits in _enumerate_chunks(model.alphabet, model.length):
-        total += int(_pass_mask(digits, model.restriction).sum())
-    return total
+    if model.marked_count is not None and model.marked_count > model.length:
+        return 0
+    letter = 0 if model.marked_letter is None else model.marked_letter
+    hist = mark_histogram(model.alphabet, model.length, model.restriction, letter, budget)
+    return sum(hist) if model.marked_count is None else hist[model.marked_count]
 
 
 def composition_to_word(parts: Sequence[int]) -> Word:

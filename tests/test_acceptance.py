@@ -9,34 +9,20 @@ time.
 import itertools
 import random
 import time
-from math import comb
 
 from comptri import (
+    ArithmeticFunction,
     Restriction,
-    bell_invert_identity_check,
     check,
-    check_binomial_inversion,
-    check_chebyshev,
-    check_closed_forms,
-    check_power_expansion,
-    check_word_binomial,
     composition_to_word,
-    from_rows,
-    identity,
-    iterate_invert,
     make_seed,
-    mat_mul,
-    mat_pow,
     oracle_model,
     oracle_row,
-    pascal_lower,
-    row_sum,
-    shifted_pascal_inverse,
-    transform_via_triangle,
     triangle_bell,
     triangle_convolution,
     triangle_pascal,
     triangle_recurrence,
+    verify,
     word_to_composition,
 )
 
@@ -72,40 +58,15 @@ def test_criterion_01_four_way_agreement(capsys):
 
 def test_criterion_02_row_sums(capsys):
     t0 = time.perf_counter()
-    failures, checks = [], 0
-    for preset in PRESETS:
-        f0 = make_seed(preset, 30)
-        for m in range(1, 6):
-            tri = triangle_recurrence(f0, m, 30)
-            fm = iterate_invert(f0, m)
-            for n in range(1, 31):
-                checks += 1
-                if row_sum(tri, n) != fm(n):
-                    failures.append(f"{preset} m={m} n={n}")
-    _verdict(capsys, 2, "row sums equal the transform (presets, m<=5, n<=30)", failures, checks, t0)
+    result = verify.row_sums(30)
+    _verdict(capsys, 2, "row sums equal the transform (presets, m<=5, n<=30)", result.failures, result.checks, t0)
 
 
 def test_criterion_03_depth_one_expansion(capsys):
     t0 = time.perf_counter()
-    failures, checks = [], 0
-    for preset in PRESETS:
-        f0 = make_seed(preset, 30)
-        base = triangle_recurrence(f0, 1, 30)
-        for m in range(1, 6):
-            fm = iterate_invert(f0, m)
-            for n in range(1, 31):
-                checks += 1
-                total = sum(m ** (i - 1) * base.value(n, i) for i in range(1, n + 1))
-                if total != fm(n):
-                    failures.append(f"{preset} m={m} n={n}")
-        # the dedicated operation takes the same route; exercise it directly
-        for m in range(1, 6):
-            fm = iterate_invert(f0, m)
-            for n in range(1, 16):
-                checks += 1
-                if transform_via_triangle(f0, m, n) != fm(n):
-                    failures.append(f"op {preset} m={m} n={n}")
-    _verdict(capsys, 3, "f_m(n) = sum_i m^(i-1) c_1(n,i) (presets, m<=5, n<=30)", failures, checks, t0)
+    # transform_via_triangle takes the same route; the second sweep exercises it directly
+    result = verify.combine(verify.depth_one_expansion(30), verify.triangle_transform(15))
+    _verdict(capsys, 3, "f_m(n) = sum_i m^(i-1) c_1(n,i) (presets, m<=5, n<=30)", result.failures, result.checks, t0)
 
 
 def test_criterion_04_word_oracle(capsys):
@@ -129,96 +90,37 @@ def test_criterion_04_word_oracle(capsys):
 
 def test_criterion_05_closed_forms(capsys):
     t0 = time.perf_counter()
-    failures, checks = [], 0
-    for preset in PRESETS:
-        for result in check_closed_forms(preset, 20, m_values=(1, 2, 3)):
-            checks += 1
-            if not result.ok:
-                failures.append(f"{preset} m={result.m} n={result.n} k={result.k}")
-    _verdict(capsys, 5, "closed binomial forms match the engine (n<=20)", failures, checks, t0)
+    result = verify.closed_forms(20)
+    _verdict(capsys, 5, "closed binomial forms match the engine (n<=20)", result.failures, result.checks, t0)
 
 
 def test_criterion_06_binomial_identities(capsys):
     t0 = time.perf_counter()
-    failures, checks = [], 0
-    for n in range(1, 21):
-        for k in range(1, n + 1):
-            checks += 1
-            if not check_binomial_inversion(n, k):
-                failures.append(f"inversion n={n} k={k}")
-    for m in range(2, 6):
-        for n in range(1, 19):
-            for k in range(1, n + 1):
-                checks += 1
-                if not check_power_expansion(m, n, k):
-                    failures.append(f"expansion m={m} n={n} k={k}")
-    _verdict(capsys, 6, "binomial identities (inversion n<=20; expansion m<=5, n<=18)", failures, checks, t0)
+    result = verify.binomial_identities(20, 18)
+    _verdict(capsys, 6, "binomial identities (inversion n<=20; expansion m<=5, n<=18)", result.failures, result.checks, t0)
 
 
 def test_criterion_07_bell_identity(capsys):
     t0 = time.perf_counter()
-    failures, checks = [], 0
-    for preset in PRESETS:
-        checks += 1
-        if not bell_invert_identity_check(make_seed(preset, 10).values, 10):
-            failures.append(preset)
     rng = random.Random(90125)
-    for trial in range(20):
-        seed = [rng.randrange(4) for _ in range(10)]
-        checks += 1
-        if not bell_invert_identity_check(seed, 10):
-            failures.append(f"random seed {trial}: {seed}")
-    _verdict(capsys, 7, "Bell argument-transform identity (presets + 20 random seeds, n<=10)", failures, checks, t0)
+    seeds = verify.preset_seeds(10) + [
+        ArithmeticFunction(tuple(rng.randrange(4) for _ in range(10)), f"random seed {trial}")
+        for trial in range(20)
+    ]
+    result = verify.bell_identity(seeds, 10)
+    _verdict(capsys, 7, "Bell argument-transform identity (presets + 20 random seeds, n<=10)", result.failures, result.checks, t0)
 
 
 def test_criterion_08_pascal_relations(capsys):
     t0 = time.perf_counter()
-    failures, checks = [], 0
-    ell16 = pascal_lower(16)
-    for preset in PRESETS:
-        f0 = make_seed(preset, 16)
-        mats = [from_rows(triangle_recurrence(f0, m, 16).rows) for m in range(1, 5)]
-        for m in (2, 3, 4):
-            checks += 2
-            if mat_mul(mats[m - 2], ell16).rows != mats[m - 1].rows:
-                failures.append(f"{preset} step m={m}")
-            if mat_mul(mats[0], mat_pow(ell16, m - 1)).rows != mats[m - 1].rows:
-                failures.append(f"{preset} power m={m}")
-    for order in range(1, 13):
-        q, qinv = shifted_pascal_inverse(order)
-        checks += 2
-        if mat_mul(q, qinv).rows != identity(order).rows:
-            failures.append(f"Q Qinv order={order}")
-        if mat_mul(qinv, q).rows != identity(order).rows:
-            failures.append(f"Qinv Q order={order}")
-    for order in range(1, 21):
-        ell = pascal_lower(order)
-        for m in range(1, 7):
-            power = mat_pow(ell, m)
-            checks += 1
-            expected = tuple(
-                tuple(m ** (i - j) * comb(i - 1, j - 1) for j in range(1, i + 1))
-                for i in range(1, order + 1)
-            )
-            if power.rows != expected:
-                failures.append(f"pascal power order={order} m={m}")
-    _verdict(capsys, 8, "Pascal matrix relations (N=16 m<=4; inverse n<=12; powers m<=6, n<=20)", failures, checks, t0)
+    result = verify.pascal_relations(16, 12, range(1, 21))
+    _verdict(capsys, 8, "Pascal matrix relations (N=16 m<=4; inverse n<=12; powers m<=6, n<=20)", result.failures, result.checks, t0)
 
 
 def test_criterion_09_chebyshev_and_word_identity(capsys):
     t0 = time.perf_counter()
-    failures, checks = [], 0
-    for n in range(1, 16):
-        for k in range(1, min(n, 16 - n) + 1):
-            checks += 1
-            if not check_chebyshev(n, k, BUDGET):
-                failures.append(f"chebyshev n={n} k={k}")
-    for n in range(1, 14):
-        for k in range(1, 14 - n + 1):
-            checks += 1
-            if not check_word_binomial(n, k, BUDGET):
-                failures.append(f"word binomial n={n} k={k}")
-    _verdict(capsys, 9, "Chebyshev coefficients and ternary word identity (n+k<=16 / <=14)", failures, checks, t0)
+    result = verify.combine(verify.chebyshev(16, BUDGET), verify.word_binomial(14, BUDGET))
+    _verdict(capsys, 9, "Chebyshev coefficients and ternary word identity (n+k<=16 / <=14)", result.failures, result.checks, t0)
 
 
 def test_criterion_10_bijection(capsys):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from comptri import verify
 from comptri.cli import main
 
 
@@ -147,6 +148,8 @@ def test_usage_errors(capsys):
         ["triangle", "--preset", "ones", "--N", "80"],
         ["triangle", "--preset", "ones", "--N", "4", "--format", "xml"],
         ["verify", "--suite", "nonexistent"],
+        ["verify", "--max", "0"],
+        ["verify", "--suite", "binomial", "--max", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -176,9 +179,41 @@ def test_verify_single_suite(capsys):
     assert err == ""
 
 
+def test_verify_default_bounds_output(capsys):
+    assert run(capsys, "verify") == (
+        0,
+        "row-sums: 1800 checks, 0 failures\n"
+        "binomial: 894 checks, 0 failures\n"
+        "bell: 6 checks, 0 failures\n"
+        "pascal: 66 checks, 0 failures\n"
+        "closed-forms: 3360 checks, 0 failures\n"
+        "chebyshev: 64 checks, 0 failures\n"
+        "word-binomial: 91 checks, 0 failures\n"
+        "PASS: 6281 checks, 0 failures\n",
+        "",
+    )
+
+
 def test_verify_all_suites_small(capsys):
-    code, out, _ = run(capsys, "verify", "--max", "6")
-    assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 8
-    assert lines[-1].startswith("PASS:")
+    assert run(capsys, "verify", "--max", "6") == (
+        0,
+        "row-sums: 360 checks, 0 failures\n"
+        "binomial: 105 checks, 0 failures\n"
+        "bell: 6 checks, 0 failures\n"
+        "pascal: 54 checks, 0 failures\n"
+        "closed-forms: 336 checks, 0 failures\n"
+        "chebyshev: 9 checks, 0 failures\n"
+        "word-binomial: 15 checks, 0 failures\n"
+        "PASS: 885 checks, 0 failures\n",
+        "",
+    )
+
+
+def test_verify_reports_failures(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "check_chebyshev", lambda n, k, budget: n != 2)
+    assert run(capsys, "verify", "--suite", "chebyshev", "--max", "6") == (
+        1,
+        "chebyshev: 9 checks, 2 failures\nFAIL: 9 checks, 2 failures\n",
+        "  chebyshev: Chebyshev coefficient check fails at n=2 k=1\n"
+        "  chebyshev: Chebyshev coefficient check fails at n=2 k=2\n",
+    )

@@ -85,6 +85,12 @@ def test_marked_count_filter():
     assert count_words(WordModel(3, 2, R.NONE, 2, 3)) == 0
 
 
+def test_alphabets_above_256_do_not_wrap():
+    # letters 256 and up must not alias letters 0 and up
+    assert count_words(WordModel(300, 1, R.NONE, 0, 1)) == 1
+    assert mark_histogram(257, 1, R.NONE, 0) == (256, 1)
+
+
 def test_histogram_consistency():
     for restriction in (R.NONE, R.ISOLATED_ZEROS, R.ZERO_FRAMED_BOUNDED):
         model = WordModel(3, 5, restriction)
