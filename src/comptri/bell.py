@@ -34,11 +34,13 @@ def bell_table(x: Sequence[int], n_max: int) -> list[list[int]]:
             raise ValueError(f"arguments must be integers, got {v!r}")
     table: list[list[int]] = [[1]]
     for n in range(1, n_max + 1):
+        # weights[i] = C(n, i) x_i, shared by every k of the row
+        weights = [0] + [comb(n, i) * x[i - 1] for i in range(1, n + 1)]
         row = [0]
         for k in range(1, n + 1):
             acc = 0
             for i in range(1, n - k + 2):
-                acc += comb(n, i) * x[i - 1] * table[n - i][k - 1]
+                acc += weights[i] * table[n - i][k - 1]
             q, r = divmod(acc, k)
             if r:
                 raise InternalConsistencyError(

@@ -175,6 +175,8 @@ def _cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.max is not None and args.max < 1:
         parser.error("--max must be at least 1")
+    if args.max is not None and args.max > DEFAULT_ORDER_CAP:
+        parser.error(f"--max is capped at {DEFAULT_ORDER_CAP}")
     suites = verify.suites(args.max, args.budget)
     total_checks = 0
     total_fails = 0

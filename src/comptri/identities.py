@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 from .sequences import Preset
-from .words import DEFAULT_BUDGET, Restriction, WordModel, count_words
 
 PolynomialZ = tuple[int, ...]
 
@@ -126,15 +125,12 @@ def check_power_expansion(m: int, n: int, k: int) -> bool:
     return lhs == rhs
 
 
-def check_word_binomial(n: int, k: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """C(n+k-1, 2k-1) counts ternary words of length n-1 that avoid the
-    factor 01 and contain exactly k-1 twos; checked by enumeration."""
+def check_word_binomial(n: int, k: int, words: int) -> bool:
+    """C(n+k-1, 2k-1) == ``words``, the number of ternary words of length
+    n-1 that avoid the factor 01 and contain exactly k-1 twos."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    if k > n:
-        return binom(n + k - 1, 2 * k - 1) == 0
-    model = WordModel(3, n - 1, Restriction.AVOID_01, 2, k - 1)
-    return binom(n + k - 1, 2 * k - 1) == count_words(model, budget)
+    return binom(n + k - 1, 2 * k - 1) == words
 
 
 def chebyshev_u(d: int) -> PolynomialZ:
@@ -154,12 +150,12 @@ def chebyshev_u(d: int) -> PolynomialZ:
     return cur
 
 
-def check_chebyshev(n: int, k: int, budget: int = DEFAULT_BUDGET) -> bool:
+def check_chebyshev(n: int, k: int, words: int) -> bool:
     """|coefficient of x^(n-k) in u_(n+k-2)| == 2^(n-k) C(n-1, k-1), and both
-    equal the number of ternary words of length n-1 with exactly k-1 twos."""
+    equal ``words``, the number of ternary words of length n-1 with exactly
+    k-1 twos."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     magnitude = abs(chebyshev_u(n + k - 2)[n - k])
     closed = 2 ** (n - k) * binom(n - 1, k - 1)
-    words = count_words(WordModel(3, n - 1, Restriction.NONE, 2, k - 1), budget)
     return magnitude == closed == words

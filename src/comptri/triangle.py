@@ -170,27 +170,31 @@ def triangle_pascal(
         return base
     if m < 1:
         raise ValueError("depth m must be >= 1")
+    # weight[i - 1][k - 1] = (m-1)^(i-k) C(i-1, k-1), the same for every row
+    weight = [
+        [(m - 1) ** (i - k) * comb(i - 1, k - 1) for k in range(1, i + 1)]
+        for i in range(1, order + 1)
+    ]
     rows = []
-    for n in range(1, order + 1):
-        row = []
-        for k in range(1, n + 1):
-            row.append(
-                sum(
-                    (m - 1) ** (i - k) * comb(i - 1, k - 1) * base.value(n, i)
-                    for i in range(k, n + 1)
-                )
+    for base_row in base.rows:
+        n = len(base_row)
+        rows.append(
+            tuple(
+                sum(weight[i - 1][k - 1] * base_row[i - 1] for i in range(k, n + 1))
+                for k in range(1, n + 1)
             )
-        rows.append(tuple(row))
+        )
     return CompositionTriangle(m, tuple(rows), f0.label)
 
 
 def step_up(tri: CompositionTriangle) -> CompositionTriangle:
     """One depth step: c'(n, k) = sum_{i=k}^{n} C(i-1, k-1) c(n, i)."""
     rows = []
-    for n in range(1, tri.order + 1):
+    for row in tri.rows:
+        n = len(row)
         rows.append(
             tuple(
-                sum(comb(i - 1, k - 1) * tri.value(n, i) for i in range(k, n + 1))
+                sum(comb(i - 1, k - 1) * row[i - 1] for i in range(k, n + 1))
                 for k in range(1, n + 1)
             )
         )

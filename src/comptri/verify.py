@@ -28,8 +28,8 @@ from .identities import (
 )
 from .pascal import from_rows, identity, mat_mul, mat_pow, pascal_lower, shifted_pascal_inverse
 from .sequences import ArithmeticFunction, Preset, iterate_invert, make_seed, transform_via_triangle
-from .triangle import DEFAULT_ORDER_CAP, row_sum, triangle_recurrence
-from .words import DEFAULT_BUDGET
+from .triangle import row_sum, triangle_recurrence
+from .words import DEFAULT_BUDGET, Restriction, mark_histogram
 
 PRESETS = tuple(p for p in Preset if p is not Preset.CUSTOM)
 DEPTHS = range(1, 6)
@@ -84,11 +84,10 @@ def preset_seeds(n_terms: int) -> list[ArithmeticFunction]:
 @_sweep
 def row_sums(n_max: int):
     """Row n of the depth-m triangle sums to f_m(n), for the presets, m <= 5, n <= n_max."""
-    order_cap = max(n_max, DEFAULT_ORDER_CAP)
     for preset in PRESETS:
         f0 = make_seed(preset, n_max)
         for m in DEPTHS:
-            tri = triangle_recurrence(f0, m, n_max, order_cap=order_cap)
+            tri = triangle_recurrence(f0, m, n_max)
             fm = iterate_invert(f0, m)
             for n in range(1, n_max + 1):
                 yield row_sum(tri, n) == fm(n) or (
@@ -99,10 +98,9 @@ def row_sums(n_max: int):
 @_sweep
 def depth_one_expansion(n_max: int):
     """f_m(n) = sum_i m^(i-1) c_1(n, i), for the presets, m <= 5, n <= n_max."""
-    order_cap = max(n_max, DEFAULT_ORDER_CAP)
     for preset in PRESETS:
         f0 = make_seed(preset, n_max)
-        base = triangle_recurrence(f0, 1, n_max, order_cap=order_cap)
+        base = triangle_recurrence(f0, 1, n_max)
         for m in DEPTHS:
             fm = iterate_invert(f0, m)
             for n in range(1, n_max + 1):
@@ -197,20 +195,28 @@ def closed_forms(order: int):
 
 @_sweep
 def chebyshev(total: int, budget: int = DEFAULT_BUDGET):
-    """Chebyshev coefficients, closed form and word count agree for n + k <= total."""
+    """Chebyshev coefficients, closed form and word count agree for n + k <= total.
+
+    One enumeration of the ternary words of length n-1, counted by twos,
+    serves every k."""
     for n in range(1, total):
+        by_twos = mark_histogram(3, n - 1, Restriction.NONE, 2, budget)
         for k in range(1, min(n, total - n) + 1):
-            yield check_chebyshev(n, k, budget) or (
+            yield check_chebyshev(n, k, by_twos[k - 1]) or (
                 f"Chebyshev coefficient check fails at n={n} k={k}"
             )
 
 
 @_sweep
 def word_binomial(total: int, budget: int = DEFAULT_BUDGET):
-    """C(n+k-1, 2k-1) equals the 01-avoiding ternary word count for n + k <= total."""
+    """C(n+k-1, 2k-1) equals the 01-avoiding ternary word count for n + k <= total.
+
+    One enumeration per n serves every k; no word of length n-1 has k-1 > n-1 twos."""
     for n in range(1, total):
+        by_twos = mark_histogram(3, n - 1, Restriction.AVOID_01, 2, budget)
         for k in range(1, total - n + 1):
-            yield check_word_binomial(n, k, budget) or f"word-count identity fails at n={n} k={k}"
+            words = by_twos[k - 1] if k <= n else 0
+            yield check_word_binomial(n, k, words) or f"word-count identity fails at n={n} k={k}"
 
 
 def suites(cap: int | None = None, budget: int = DEFAULT_BUDGET) -> dict[str, Callable[[], Sweep]]:

@@ -5,8 +5,12 @@ enumerating every word of a given length over {0, ..., A-1} and testing a
 restriction predicate on each one, never by solving a recurrence.  Counts
 stay exact because they are plain tallies.
 
-Enumeration is vectorized with numpy in fixed-size chunks so the acceptance
-sweeps (tens of millions of words) finish quickly, but each word is still
+Enumeration is vectorized with numpy in suffix blocks so the acceptance
+sweeps (tens of millions of words) finish quickly.  The last letters of a
+word, as many as fit in ``_CHUNK`` rows, form a block that is built once per
+space; each chunk is one prefix of the remaining letters written over every
+row of the block.  Mark counts split the same way: the block's counts are
+taken once, and a chunk adds its prefix's count.  Each word is still
 materialized and tested individually.  ``budget`` bounds A**length; larger
 spaces raise EnumerationBudgetError instead of running forever.
 """
@@ -112,22 +116,44 @@ def _check_budget(alphabet: int, length: int, budget: int) -> None:
         )
 
 
-def _enumerate_chunks(alphabet: int, length: int) -> Iterator[np.ndarray]:
-    # words as digit rows, most significant position first, in the smallest
-    # unsigned dtype that holds every letter (uint8 for alphabets up to 256)
+def _enumerate_chunks(
+    alphabet: int, length: int
+) -> Iterator[tuple[np.ndarray, tuple[int, ...], np.ndarray]]:
+    """Every word of the space, as chunks of digit rows (most significant first).
+
+    A chunk is one prefix followed by each row of a suffix block: the last
+    ``width`` letters, where ``width`` is the widest with alphabet**width <=
+    _CHUNK.  Yields ``(digits, prefix, suffix)``: ``digits`` is a buffer
+    reused by every chunk of the block, with the constant ``prefix`` in its
+    leading columns, and ``suffix`` is the view of its trailing columns,
+    the same object while the block lasts.  An alphabet above _CHUNK has
+    width 1, and its last letter's range is cut into blocks of _CHUNK rows.
+    Digits use the smallest unsigned dtype that holds every letter.
+    """
     dtype = np.min_scalar_type(alphabet - 1)
     if length == 0:
-        yield np.zeros((1, 0), dtype=dtype)
+        empty = np.zeros((1, 0), dtype=dtype)
+        yield empty, (), empty
         return
-    total = alphabet**length
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = np.empty((hi - lo, length), dtype=dtype)
-        for pos in range(length - 1, -1, -1):
-            digits[:, pos] = idx % alphabet
-            idx //= alphabet
-        yield digits
+    width = 1
+    while width < length and alphabet ** (width + 1) <= _CHUNK:
+        width += 1
+    head = length - width
+    # rows per letter of the block's first column, and letters of that column per block
+    rest = alphabet ** (width - 1)
+    step = _CHUNK // rest
+    for lo in range(0, alphabet, step):
+        letters = np.arange(lo, min(lo + step, alphabet), dtype=dtype)
+        # column-major, so each position is one contiguous column
+        digits = np.empty((len(letters) * rest, length), dtype=dtype, order="F")
+        for pos in range(head, length):
+            cycle = letters if pos == head else np.arange(alphabet, dtype=dtype)
+            column = digits[:, pos].reshape(-1, len(cycle), alphabet ** (length - 1 - pos))
+            column[:] = cycle[:, None]
+        suffix = digits[:, head:]
+        for prefix in itertools.product(range(alphabet), repeat=head):
+            digits[:, :head] = prefix
+            yield digits, prefix, suffix
 
 
 def _pass_mask(digits: np.ndarray, restriction: Restriction) -> np.ndarray:
@@ -183,10 +209,14 @@ def mark_histogram(
         raise ValueError("marked letter must belong to the alphabet")
     _check_budget(alphabet, length, budget)
     hist = np.zeros(length + 1, dtype=np.int64)
-    for digits in _enumerate_chunks(alphabet, length):
-        mask = _pass_mask(digits, restriction)
-        marks = (digits == marked_letter).sum(axis=1)
-        hist += np.bincount(marks[mask], minlength=length + 1)
+    block = None
+    for digits, prefix, suffix in _enumerate_chunks(alphabet, length):
+        if suffix is not block:
+            block = suffix
+            marks = np.count_nonzero(suffix == marked_letter, axis=1)
+        counts = np.bincount(marks[_pass_mask(digits, restriction)])
+        shift = prefix.count(marked_letter)
+        hist[shift : shift + len(counts)] += counts
     return tuple(int(v) for v in hist)
 
 

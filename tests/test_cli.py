@@ -150,11 +150,14 @@ def test_usage_errors(capsys):
         ["verify", "--suite", "nonexistent"],
         ["verify", "--max", "0"],
         ["verify", "--suite", "binomial", "--max", "0"],
+        ["verify", "--suite", "row-sums", "--max", "65"],
+        ["verify", "--suite", "pascal", "--max", "70"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+    assert "--max is capped at 64" in err
 
 
 def test_transform_negative_m(capsys):

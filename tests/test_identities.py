@@ -5,6 +5,8 @@ from math import comb
 import pytest
 
 from comptri import (
+    Restriction,
+    WordModel,
     binom,
     chebyshev_u,
     check_binomial_inversion,
@@ -13,9 +15,12 @@ from comptri import (
     check_power_expansion,
     check_word_binomial,
     closed_form,
+    count_words,
     make_seed,
     triangle_recurrence,
 )
+
+R = Restriction
 
 PRESETS = ("ones", "fib", "odd", "natural", "ge2", "two_three")
 
@@ -80,13 +85,17 @@ def test_power_expansion_needs_m_above_one():
 def test_word_binomial_sweep():
     for n in range(1, 10):
         for k in range(1, 10 - n + 1):
-            assert check_word_binomial(n, k)
+            words = count_words(WordModel(3, n - 1, R.AVOID_01, 2, k - 1))
+            assert check_word_binomial(n, k, words)
+            assert not check_word_binomial(n, k, words + 1)
 
 
 def test_chebyshev_word_sweep():
     for n in range(1, 10):
         for k in range(1, min(n, 10 - n) + 1):
-            assert check_chebyshev(n, k)
+            words = count_words(WordModel(3, n - 1, R.NONE, 2, k - 1))
+            assert check_chebyshev(n, k, words)
+            assert not check_chebyshev(n, k, words + 1)
 
 
 def test_closed_form_values():

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from comptri import words
 from comptri import (
     EnumerationBudgetError,
     Restriction,
@@ -89,6 +90,40 @@ def test_alphabets_above_256_do_not_wrap():
     # letters 256 and up must not alias letters 0 and up
     assert count_words(WordModel(300, 1, R.NONE, 0, 1)) == 1
     assert mark_histogram(257, 1, R.NONE, 0) == (256, 1)
+
+
+def scalar_histograms(alphabet, length, restriction):
+    """mark_histogram for every marked letter, tallied from the scalar predicate."""
+    hists = [[0] * (length + 1) for _ in range(alphabet)]
+    for word in itertools.product(range(alphabet), repeat=length):
+        if check(word, restriction):
+            for letter in range(alphabet):
+                hists[letter][word.count(letter)] += 1
+    return [tuple(h) for h in hists]
+
+
+@pytest.mark.parametrize("restriction", list(R))
+def test_histogram_across_many_chunks(monkeypatch, restriction):
+    # a 16-row chunk splits each space into many prefix chunks
+    monkeypatch.setattr(words, "_CHUNK", 16)
+    for alphabet in (2, 3, 4):
+        for length in range(8):
+            expected = scalar_histograms(alphabet, length, restriction)
+            for letter in range(alphabet):
+                assert mark_histogram(alphabet, length, restriction, letter) == expected[letter]
+
+
+def test_alphabet_above_chunk_is_sliced(monkeypatch):
+    assert sum(1 for _ in words._enumerate_chunks(2**21, 1)) <= 2
+    assert mark_histogram(2**21, 1, R.NONE, 0, budget=2**21) == (2**21 - 1, 1)
+    # below the alphabet size, the chunk cuts the last letter's range into blocks
+    monkeypatch.setattr(words, "_CHUNK", 3)
+    for restriction in R:
+        for alphabet in (4, 5):
+            for length in range(5):
+                expected = scalar_histograms(alphabet, length, restriction)
+                for letter in range(alphabet):
+                    assert mark_histogram(alphabet, length, restriction, letter) == expected[letter]
 
 
 def test_histogram_consistency():
