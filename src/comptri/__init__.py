@@ -29,7 +29,6 @@ from .identities import (
 )
 from .pascal import (
     LowerTriangularMatrix,
-    from_rows,
     identity,
     mat_mul,
     mat_pow,
@@ -45,10 +44,8 @@ from .sequences import (
     transform_via_triangle,
 )
 from .triangle import (
-    CompositionTriangle,
     extended_binomial,
     row_sum,
-    step_up,
     triangle_bell,
     triangle_convolution,
     triangle_pascal,
@@ -72,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArithmeticFunction",
-    "CompositionTriangle",
     "ComptriError",
     "DimensionError",
     "EnumerationBudgetError",
@@ -99,7 +95,6 @@ __all__ = [
     "composition_to_word",
     "count_words",
     "extended_binomial",
-    "from_rows",
     "identity",
     "invert_transform",
     "iterate_invert",
@@ -114,7 +109,6 @@ __all__ = [
     "pascal_lower",
     "row_sum",
     "shifted_pascal_inverse",
-    "step_up",
     "transform_via_triangle",
     "triangle_bell",
     "triangle_convolution",

@@ -16,7 +16,7 @@ from . import verify
 from .errors import ComptriError, EnumerationBudgetError
 from .sequences import Preset, iterate_invert, make_seed
 from .triangle import (
-    DEFAULT_ORDER_CAP,
+    ORDER_CAP,
     triangle_bell,
     triangle_convolution,
     triangle_pascal,
@@ -44,8 +44,19 @@ def _parse_seed_list(text: str) -> list[int]:
         raise ComptriError(f"could not parse {text!r} as comma-separated integers")
 
 
+def _check_at_least_one(
+    args: argparse.Namespace, parser: argparse.ArgumentParser, *flags: str
+) -> None:
+    """A given flag below 1 is a usage error that names the flag."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            parser.error(f"--{flag} must be at least 1")
+
+
 def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser):
     """Returns (seed, seed_repr, N); flag misuse becomes a usage error."""
+    _check_at_least_one(args, parser, "N")
     preset = Preset(args.preset) if args.preset else None
     if args.seed is not None:
         if preset not in (None, Preset.CUSTOM):
@@ -116,8 +127,8 @@ def _cmd_triangle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     seed, seed_repr, n = _resolve_seed(args, parser)
     if args.m < 1:
         parser.error("--m must be >= 1 for triangles")
-    if n > DEFAULT_ORDER_CAP:
-        parser.error(f"--N is capped at {DEFAULT_ORDER_CAP}")
+    if n > ORDER_CAP:
+        parser.error(f"--N is capped at {ORDER_CAP}")
     if args.algo == "all":
         triangles = {name: build(seed, args.m, n) for name, build in _BUILDERS.items()}
         mismatches = []
@@ -145,10 +156,11 @@ def _cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error("the oracle needs one of the mapped presets")
     if args.N is None:
         parser.error("--N is required")
+    _check_at_least_one(args, parser, "N", "budget")
     if args.m < 1:
         parser.error("--m must be >= 1")
-    if args.N > DEFAULT_ORDER_CAP:
-        parser.error(f"--N is capped at {DEFAULT_ORDER_CAP}")
+    if args.N > ORDER_CAP:
+        parser.error(f"--N is capped at {ORDER_CAP}")
     seed = make_seed(preset, args.N)
     tri = triangle_recurrence(seed, args.m, args.N)
     lines = ["n,k,engine,oracle,match"]
@@ -162,7 +174,7 @@ def _cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             sys.stderr.write(f"budget exceeded at n={n}, k=1..{n}: {exc}\n")
             return EXIT_BUDGET
         for k in range(1, n + 1):
-            engine = tri.value(n, k)
+            engine = tri.entry(n, k)
             oracle = counts[k - 1]
             match = "ok" if engine == oracle else "MISMATCH"
             if engine != oracle:
@@ -173,10 +185,9 @@ def _cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.max is not None and args.max < 1:
-        parser.error("--max must be at least 1")
-    if args.max is not None and args.max > DEFAULT_ORDER_CAP:
-        parser.error(f"--max is capped at {DEFAULT_ORDER_CAP}")
+    _check_at_least_one(args, parser, "max", "budget")
+    if args.max is not None and args.max > ORDER_CAP:
+        parser.error(f"--max is capped at {ORDER_CAP}")
     suites = verify.suites(args.max, args.budget)
     total_checks = 0
     total_fails = 0

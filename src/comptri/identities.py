@@ -99,7 +99,7 @@ def check_closed_forms(
         tri = triangle_recurrence(make_seed(preset, order), m, order)
         for n in range(1, order + 1):
             for k in range(1, n + 1):
-                results.append(FormCheck(m, n, k, tri.value(n, k), closed_form(preset, m, n, k)))
+                results.append(FormCheck(m, n, k, tri.entry(n, k), closed_form(preset, m, n, k)))
     return results
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
 
 from .errors import DimensionError
 
@@ -14,7 +13,9 @@ class LowerTriangularMatrix:
     """A square lower-triangular integer matrix stored as ragged rows.
 
     ``rows[i - 1][j - 1]`` holds entry (i, j) for 1 <= j <= i; entries above
-    the diagonal are zero by construction and never stored.
+    the diagonal are zero by construction and never stored.  Entries are
+    ``int`` and never ``bool``.  The triangle builders return this type, with
+    entry (n, k) equal to c(n, k).
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -27,7 +28,7 @@ class LowerTriangularMatrix:
             if len(row) != i:
                 raise DimensionError(f"row {i} must have {i} entries, got {len(row)}")
             for v in row:
-                if not isinstance(v, int):
+                if isinstance(v, bool) or not isinstance(v, int):
                     raise DimensionError(f"entries must be integers, got {v!r}")
         object.__setattr__(self, "rows", rows)
 
@@ -55,22 +56,16 @@ def pascal_lower(order: int) -> LowerTriangularMatrix:
     )
 
 
-def from_rows(rows: Sequence[Sequence[int]]) -> LowerTriangularMatrix:
-    return LowerTriangularMatrix(tuple(tuple(r) for r in rows))
-
-
 def mat_mul(a: LowerTriangularMatrix, b: LowerTriangularMatrix) -> LowerTriangularMatrix:
     if a.order != b.order:
         raise DimensionError(f"orders differ: {a.order} vs {b.order}")
-    rows = []
-    for i in range(1, a.order + 1):
-        rows.append(
-            tuple(
-                sum(a.entry(i, t) * b.entry(t, j) for t in range(j, i + 1))
-                for j in range(1, i + 1)
-            )
+    ra, rb = a.rows, b.rows
+    return LowerTriangularMatrix(
+        tuple(
+            tuple(sum(ra[i][t] * rb[t][j] for t in range(j, i + 1)) for j in range(i + 1))
+            for i in range(a.order)
         )
-    return LowerTriangularMatrix(tuple(rows))
+    )
 
 
 def mat_pow(a: LowerTriangularMatrix, e: int) -> LowerTriangularMatrix:

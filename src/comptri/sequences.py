@@ -63,7 +63,7 @@ class ArithmeticFunction:
         if not vals:
             raise InvalidSeedError("an arithmetic function needs at least f(1)")
         for v in vals:
-            if not isinstance(v, int) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise InvalidSeedError(f"entries must be nonnegative integers, got {v!r}")
         object.__setattr__(self, "values", vals)
 
@@ -138,4 +138,4 @@ def transform_via_triangle(f0: ArithmeticFunction, m: int, n: int) -> int:
     if not 1 <= n <= len(f0):
         raise IndexError(f"n must lie in 1..{len(f0)}")
     tri = triangle_recurrence(f0, 1, n)
-    return sum(m ** (i - 1) * tri.value(n, i) for i in range(1, n + 1))
+    return sum(m ** (i - 1) * tri.entry(n, i) for i in range(1, n + 1))

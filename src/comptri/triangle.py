@@ -8,8 +8,10 @@ w(i):
     c(n, k) = sum over (i_1, ..., i_k), i_t >= 1, i_1 + ... + i_k = n
               of w(i_1) * ... * w(i_k),
 
-with the conventions c(0, 0) = 1 and c(n, 0) = 0 for n >= 1.  Four
-algorithms compute the same triangle:
+for 1 <= k <= n.  Every builder returns the triangle up to a given order
+as a :class:`~comptri.pascal.LowerTriangularMatrix` with entry (n, k) equal
+to c(n, k); the order is capped at ORDER_CAP.  Four algorithms compute the
+same triangle:
 
   * triangle_recurrence: peel off the first part,
         c(n, k) = sum_{i=1}^{n-k+1} w(i) c(n-i, k-1);
@@ -21,64 +23,30 @@ algorithms compute the same triangle:
         c(n, k) = sum_{i=k}^{n} (m-1)^(i-k) C(i-1, k-1) c_1(n, i).
 
 They share only the seed and the invert transform, so agreement across all
-four is a strong consistency check.
+four is a strong consistency check.  The recurrence also needs
+c(0, 0) = 1 and c(n, 0) = 0 for n >= 1; those conventions live only in
+_rows_from_weights, which keeps column 0 while it fills the rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .bell import bell_table
 from .errors import InsufficientSeedError, InternalConsistencyError
+from .pascal import LowerTriangularMatrix
 from .sequences import ArithmeticFunction, iterate_invert
 
-DEFAULT_ORDER_CAP = 64
+ORDER_CAP = 64
 
 
-@dataclass(frozen=True)
-class CompositionTriangle:
-    """Entries c(n, k) for 1 <= k <= n <= order at a fixed depth m.
-
-    ``rows[n - 1][k - 1]`` is c(n, k).  The boundary conventions c(0, 0) = 1
-    and c(n, 0) = 0 live in :meth:`value`, not in storage.
-    """
-
-    m: int
-    rows: tuple[tuple[int, ...], ...]
-    seed_label: str = ""
-
-    @property
-    def order(self) -> int:
-        return len(self.rows)
-
-    def value(self, n: int, k: int) -> int:
-        """c(n, k); zero for k > n and for k = 0 with n >= 1."""
-        if n == 0 and k == 0:
-            return 1
-        if not 1 <= n <= self.order:
-            raise IndexError(f"n must lie in 1..{self.order}")
-        if k < 0:
-            raise IndexError("k must be >= 0")
-        if k == 0 or k > n:
-            return 0
-        return self.rows[n - 1][k - 1]
-
-    def row(self, n: int) -> tuple[int, ...]:
-        if not 1 <= n <= self.order:
-            raise IndexError(f"n must lie in 1..{self.order}")
-        return self.rows[n - 1]
-
-
-def _weights(
-    f0: ArithmeticFunction, m: int, order: int, order_cap: int
-) -> tuple[int, ...]:
+def _weights(f0: ArithmeticFunction, m: int, order: int) -> tuple[int, ...]:
     if m < 1:
         raise ValueError("depth m must be >= 1")
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order > order_cap:
-        raise ValueError(f"order {order} exceeds the cap {order_cap}")
+    if order > ORDER_CAP:
+        raise ValueError(f"order {order} exceeds the cap {ORDER_CAP}")
     if order > len(f0):
         raise InsufficientSeedError(
             f"order {order} needs f_0(1..{order}), seed stores {len(f0)} terms"
@@ -87,7 +55,7 @@ def _weights(
 
 
 def _rows_from_weights(w: tuple[int, ...], order: int) -> tuple[tuple[int, ...], ...]:
-    # padded[n][k] covers 0 <= k <= n so the recurrence can touch c(*, 0)
+    # padded[n][k] = c(n, k) for 0 <= k <= n, so the recurrence can touch c(*, 0)
     padded: list[list[int]] = [[1]]
     for n in range(1, order + 1):
         row = [0]
@@ -100,12 +68,10 @@ def _rows_from_weights(w: tuple[int, ...], order: int) -> tuple[tuple[int, ...],
     return tuple(tuple(row[1:]) for row in padded[1:])
 
 
-def triangle_recurrence(
-    f0: ArithmeticFunction, m: int, order: int, order_cap: int = DEFAULT_ORDER_CAP
-) -> CompositionTriangle:
+def triangle_recurrence(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangularMatrix:
     """Build the triangle by the first-part recurrence."""
-    w = _weights(f0, m, order, order_cap)
-    return CompositionTriangle(m, _rows_from_weights(w, order), f0.label)
+    w = _weights(f0, m, order)
+    return LowerTriangularMatrix(_rows_from_weights(w, order))
 
 
 def _poly_mul_trunc(a: list[int], b: list[int], deg: int) -> list[int]:
@@ -119,11 +85,9 @@ def _poly_mul_trunc(a: list[int], b: list[int], deg: int) -> list[int]:
     return out
 
 
-def triangle_convolution(
-    f0: ArithmeticFunction, m: int, order: int, order_cap: int = DEFAULT_ORDER_CAP
-) -> CompositionTriangle:
+def triangle_convolution(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangularMatrix:
     """Build the triangle by truncated polynomial self-convolution."""
-    w = _weights(f0, m, order, order_cap)
+    w = _weights(f0, m, order)
     poly = [0] + list(w)
     power = [1] + [0] * order
     rows = [[0] * n for n in range(1, order + 1)]
@@ -131,18 +95,16 @@ def triangle_convolution(
         power = _poly_mul_trunc(power, poly, order)
         for n in range(k, order + 1):
             rows[n - 1][k - 1] = power[n]
-    return CompositionTriangle(m, tuple(tuple(r) for r in rows), f0.label)
+    return LowerTriangularMatrix(rows)
 
 
-def triangle_bell(
-    f0: ArithmeticFunction, m: int, order: int, order_cap: int = DEFAULT_ORDER_CAP
-) -> CompositionTriangle:
+def triangle_bell(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangularMatrix:
     """Build the triangle from partial Bell polynomials.
 
     Every (k! / n!) scaling must divide exactly; a remainder raises
     InternalConsistencyError.
     """
-    w = _weights(f0, m, order, order_cap)
+    w = _weights(f0, m, order)
     fact = [1]
     for i in range(1, order + 1):
         fact.append(fact[-1] * i)
@@ -158,14 +120,12 @@ def triangle_bell(
                 )
             row.append(q)
         rows.append(tuple(row))
-    return CompositionTriangle(m, tuple(rows), f0.label)
+    return LowerTriangularMatrix(rows)
 
 
-def triangle_pascal(
-    f0: ArithmeticFunction, m: int, order: int, order_cap: int = DEFAULT_ORDER_CAP
-) -> CompositionTriangle:
+def triangle_pascal(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangularMatrix:
     """Build the depth-m triangle from the depth-1 triangle and binomials."""
-    base = triangle_recurrence(f0, 1, order, order_cap)
+    base = triangle_recurrence(f0, 1, order)
     if m == 1:
         return base
     if m < 1:
@@ -184,26 +144,14 @@ def triangle_pascal(
                 for k in range(1, n + 1)
             )
         )
-    return CompositionTriangle(m, tuple(rows), f0.label)
+    return LowerTriangularMatrix(rows)
 
 
-def step_up(tri: CompositionTriangle) -> CompositionTriangle:
-    """One depth step: c'(n, k) = sum_{i=k}^{n} C(i-1, k-1) c(n, i)."""
-    rows = []
-    for row in tri.rows:
-        n = len(row)
-        rows.append(
-            tuple(
-                sum(comb(i - 1, k - 1) * row[i - 1] for i in range(k, n + 1))
-                for k in range(1, n + 1)
-            )
-        )
-    return CompositionTriangle(tri.m + 1, tuple(rows), tri.seed_label)
-
-
-def row_sum(tri: CompositionTriangle, n: int) -> int:
+def row_sum(tri: LowerTriangularMatrix, n: int) -> int:
     """sum_k c(n, k), which equals f_m(n) for the triangle's seed and depth."""
-    return sum(tri.row(n))
+    if not 1 <= n <= tri.order:
+        raise IndexError(f"n must lie in 1..{tri.order}")
+    return sum(tri.rows[n - 1])
 
 
 def extended_binomial(f: ArithmeticFunction, k: int, n: int) -> int:

@@ -26,7 +26,7 @@ from .identities import (
     check_power_expansion,
     check_word_binomial,
 )
-from .pascal import from_rows, identity, mat_mul, mat_pow, pascal_lower, shifted_pascal_inverse
+from .pascal import identity, mat_mul, mat_pow, pascal_lower, shifted_pascal_inverse
 from .sequences import ArithmeticFunction, Preset, iterate_invert, make_seed, transform_via_triangle
 from .triangle import row_sum, triangle_recurrence
 from .words import DEFAULT_BUDGET, Restriction, mark_histogram
@@ -104,7 +104,7 @@ def depth_one_expansion(n_max: int):
         for m in DEPTHS:
             fm = iterate_invert(f0, m)
             for n in range(1, n_max + 1):
-                expansion = sum(m ** (i - 1) * base.value(n, i) for i in range(1, n + 1))
+                expansion = sum(m ** (i - 1) * base.entry(n, i) for i in range(1, n + 1))
                 yield expansion == fm(n) or (
                     f"{preset.value} m={m} n={n}: depth-1 expansion != transform"
                 )
@@ -155,7 +155,7 @@ def pascal_relations(order: int, inverse_max: int, power_orders: Iterable[int]):
     ell = pascal_lower(order)
     for preset in PRESETS:
         f0 = make_seed(preset, order)
-        mats = [from_rows(triangle_recurrence(f0, m, order).rows) for m in range(1, 5)]
+        mats = [triangle_recurrence(f0, m, order) for m in range(1, 5)]
         for m in range(2, 5):
             yield mat_mul(mats[m - 2], ell).rows == mats[m - 1].rows or (
                 f"{preset.value}: step relation fails at m={m}"

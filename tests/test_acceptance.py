@@ -83,7 +83,7 @@ def test_criterion_04_word_oracle(capsys):
                 counts = oracle_row(preset, m, n, BUDGET)
                 for k in range(1, n + 1):
                     checks += 1
-                    if tri.value(n, k) != counts[k - 1]:
+                    if tri.entry(n, k) != counts[k - 1]:
                         failures.append(f"{preset} m={m} n={n} k={k}")
     _verdict(capsys, 4, "entries equal brute-force word counts (m<=3, length<=12)", failures, checks, t0)
 

@@ -158,6 +158,20 @@ def test_usage_errors(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
     assert "--max is capped at 64" in err
+    for argv, flag in (
+        (["transform", "--preset", "ones", "--N", "0"], "--N"),
+        (["transform", "--seed", "1,2", "--N", "-1"], "--N"),
+        (["triangle", "--preset", "ones", "--N", "0"], "--N"),
+        (["oracle", "--preset", "fib", "--N", "0"], "--N"),
+        (["oracle", "--preset", "fib", "--N", "4", "--budget", "-1"], "--budget"),
+        (["oracle", "--preset", "fib", "--N", "4", "--budget", "0"], "--budget"),
+        (["verify", "--budget", "0"], "--budget"),
+        (["verify", "--max", "0"], "--max"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
 
 
 def test_transform_negative_m(capsys):

@@ -151,4 +151,4 @@ def test_depth_one_reduction():
         tri = triangle_recurrence(make_seed(preset, 12), 1, 12)
         for n in range(1, 13):
             for k in range(1, n + 1):
-                assert closed_form(preset, 1, n, k) == tri.value(n, k)
+                assert closed_form(preset, 1, n, k) == tri.entry(n, k)

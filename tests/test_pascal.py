@@ -7,7 +7,6 @@ import pytest
 from comptri import (
     DimensionError,
     LowerTriangularMatrix,
-    from_rows,
     identity,
     mat_mul,
     mat_pow,
@@ -24,7 +23,8 @@ def test_pascal_entries():
 
 
 def test_rows_storage():
-    m = from_rows([[1], [2, 3]])
+    m = LowerTriangularMatrix([[1], [2, 3]])
+    assert m.rows == ((1,), (2, 3))
     assert m.order == 2
     assert m.entry(2, 1) == 2
     assert m.entry(1, 2) == 0
@@ -36,7 +36,12 @@ def test_shape_validation():
     with pytest.raises(DimensionError):
         LowerTriangularMatrix(())
     with pytest.raises(DimensionError):
-        from_rows([[1], [2.5, 1]])
+        LowerTriangularMatrix(((1,), (2.5, 1)))
+
+
+def test_bool_entries_rejected():
+    with pytest.raises(DimensionError):
+        LowerTriangularMatrix(((True,), (False, True)))
 
 
 def test_entry_bounds():

@@ -61,6 +61,11 @@ def test_negative_entries_rejected():
         ArithmeticFunction((1, -2))
 
 
+def test_bool_entries_rejected():
+    with pytest.raises(InvalidSeedError):
+        ArithmeticFunction((True, False, True))
+
+
 def test_empty_prefix_rejected():
     with pytest.raises(InvalidSeedError):
         ArithmeticFunction(())

@@ -4,14 +4,18 @@ import itertools
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comptri import (
+    ArithmeticFunction,
     InsufficientSeedError,
     extended_binomial,
     iterate_invert,
     make_seed,
+    mat_mul,
+    pascal_lower,
     row_sum,
-    step_up,
     triangle_bell,
     triangle_convolution,
     triangle_pascal,
@@ -20,6 +24,13 @@ from comptri import (
 
 PRESETS = ("ones", "fib", "odd", "natural", "ge2", "two_three")
 BUILDERS = (triangle_recurrence, triangle_convolution, triangle_bell, triangle_pascal)
+
+# custom seeds f_0(1..N), N <= 16: digits, some 64-bit weights, f(1) may be 0
+CUSTOM_SEEDS = st.lists(
+    st.integers(0, 9) | st.integers(2**63, 2**64 - 1), min_size=1, max_size=16
+).map(lambda values: ArithmeticFunction(tuple(values), "custom"))
+DEPTHS = st.integers(1, 4)
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 def compositions(n, k):
@@ -42,13 +53,13 @@ def weighted_count(f, n, k):
 # recurrence with transformed weights and by listing the 27 ternary words of
 # length 3 with one letter 2 and no 00 factor (10 of them for k = 2).
 def test_frozen_entries():
-    assert triangle_recurrence(make_seed("fib", 5), 1, 5).value(5, 3) == 3
-    assert triangle_recurrence(make_seed("odd", 5), 1, 5).value(5, 3) == 3
-    assert triangle_recurrence(make_seed("natural", 3), 1, 3).value(3, 2) == 4
-    assert triangle_recurrence(make_seed("ge2", 5), 1, 5).value(5, 2) == 2
+    assert triangle_recurrence(make_seed("fib", 5), 1, 5).entry(5, 3) == 3
+    assert triangle_recurrence(make_seed("odd", 5), 1, 5).entry(5, 3) == 3
+    assert triangle_recurrence(make_seed("natural", 3), 1, 3).entry(3, 2) == 4
+    assert triangle_recurrence(make_seed("ge2", 5), 1, 5).entry(5, 2) == 2
     tri = triangle_recurrence(make_seed("fib", 4), 2, 4)
-    assert tri.value(4, 2) == 10
-    assert tri.row(4) == (5, 10, 6, 1)
+    assert tri.entry(4, 2) == 10
+    assert tri.rows[3] == (5, 10, 6, 1)
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -57,7 +68,7 @@ def test_depth_one_matches_composition_sums(preset):
     tri = triangle_recurrence(f0, 1, 9)
     for n in range(1, 10):
         for k in range(1, n + 1):
-            assert tri.value(n, k) == weighted_count(f0, n, k)
+            assert tri.entry(n, k) == weighted_count(f0, n, k)
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -67,7 +78,7 @@ def test_depth_two_matches_composition_sums(preset):
     tri = triangle_recurrence(f0, 2, 8)
     for n in range(1, 9):
         for k in range(1, n + 1):
-            assert tri.value(n, k) == weighted_count(w, n, k)
+            assert tri.entry(n, k) == weighted_count(w, n, k)
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -78,15 +89,33 @@ def test_four_routes_agree(preset, m):
     assert rows[0] == rows[1] == rows[2] == rows[3]
 
 
+@PROPERTY
+@given(CUSTOM_SEEDS, DEPTHS)
+def test_four_routes_agree_on_custom_seeds(f0, m):
+    rows = [build(f0, m, len(f0)).rows for build in BUILDERS]
+    assert rows[0] == rows[1] == rows[2] == rows[3]
+
+
+@PROPERTY
+@given(CUSTOM_SEEDS, DEPTHS)
+def test_pascal_step_advances_depth(f0, m):
+    # c_(m+1) = c_m L, with L the Pascal matrix
+    order = len(f0)
+    stepped = mat_mul(triangle_recurrence(f0, m, order), pascal_lower(order))
+    assert stepped.rows == triangle_recurrence(f0, m + 1, order).rows
+
+
 def test_boundary_conventions():
+    # entries are stored for 1 <= k <= n <= order and read as zero above the
+    # diagonal; the c(0, 0) and c(n, 0) conventions are not part of the table
     tri = triangle_recurrence(make_seed("fib", 6), 1, 6)
-    assert tri.value(0, 0) == 1
-    assert tri.value(4, 0) == 0
-    assert tri.value(3, 5) == 0
-    with pytest.raises(IndexError):
-        tri.value(7, 1)
-    with pytest.raises(IndexError):
-        tri.value(3, -1)
+    assert tri.entry(3, 5) == 0
+    for n, k in ((0, 0), (4, 0), (7, 1), (3, -1), (3, 7)):
+        with pytest.raises(IndexError):
+            tri.entry(n, k)
+    for n in (0, 7):
+        with pytest.raises(IndexError):
+            row_sum(tri, n)
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -96,8 +125,8 @@ def test_diagonal_and_first_column(preset):
         w = iterate_invert(f0, m - 1)
         tri = triangle_recurrence(f0, m, 10)
         for n in range(1, 11):
-            assert tri.value(n, n) == w(1) ** n
-            assert tri.value(n, 1) == w(n)
+            assert tri.entry(n, n) == w(1) ** n
+            assert tri.entry(n, 1) == w(n)
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -110,25 +139,15 @@ def test_row_sums_equal_transform(preset):
             assert row_sum(tri, n) == fm(n)
 
 
-@pytest.mark.parametrize("preset", PRESETS)
-def test_step_up_advances_depth(preset):
-    f0 = make_seed(preset, 10)
-    for m in (1, 2, 3):
-        stepped = step_up(triangle_recurrence(f0, m, 10))
-        direct = triangle_recurrence(f0, m + 1, 10)
-        assert stepped.m == m + 1
-        assert stepped.rows == direct.rows
-
-
 def test_ones_triangle_is_binomial():
     tri = triangle_recurrence(make_seed("ones", 8), 1, 8)
     for n in range(1, 9):
         for k in range(1, n + 1):
-            assert tri.value(n, k) == comb(n - 1, k - 1)
+            assert tri.entry(n, k) == comb(n - 1, k - 1)
     tri2 = triangle_recurrence(make_seed("ones", 8), 2, 8)
     for n in range(1, 9):
         for k in range(1, n + 1):
-            assert tri2.value(n, k) == 2 ** (n - k) * comb(n - 1, k - 1)
+            assert tri2.entry(n, k) == 2 ** (n - k) * comb(n - 1, k - 1)
 
 
 def test_support_vanishing():
@@ -138,15 +157,15 @@ def test_support_vanishing():
         tri = triangle_recurrence(make_seed("ge2", 14), m, 14)
         for n in range(1, 15):
             for k in range(n // 2 + 1, n + 1):
-                assert tri.value(n, k) == 0
+                assert tri.entry(n, k) == 0
         tri = triangle_recurrence(make_seed("two_three", 14), m, 14)
         for n in range(1, 15):
             for k in range(n // 2 + 1, n + 1):
-                assert tri.value(n, k) == 0
+                assert tri.entry(n, k) == 0
     tri = triangle_recurrence(make_seed("two_three", 14), 1, 14)
     for n in range(1, 15):
         for k in range(1, (n + 2) // 3):
-            assert tri.value(n, k) == 0
+            assert tri.entry(n, k) == 0
 
 
 def test_insufficient_seed():
@@ -155,10 +174,11 @@ def test_insufficient_seed():
 
 
 def test_order_cap():
-    f0 = make_seed("ones", 8)
-    with pytest.raises(ValueError):
-        triangle_recurrence(f0, 1, 8, order_cap=6)
-    assert triangle_recurrence(f0, 1, 8, order_cap=8).order == 8
+    f0 = make_seed("ones", 65)
+    for build in BUILDERS:
+        with pytest.raises(ValueError):
+            build(f0, 1, 65)
+        assert build(f0, 1, 64).order == 64
 
 
 def test_depth_validation():
@@ -182,6 +202,6 @@ def test_extended_binomial_weighted():
     tri = triangle_recurrence(fib, 1, 8)
     for n in range(1, 9):
         for k in range(1, n + 1):
-            assert extended_binomial(fib, k, n - k) == tri.value(n, k)
+            assert extended_binomial(fib, k, n - k) == tri.entry(n, k)
     with pytest.raises(InsufficientSeedError):
         extended_binomial(fib, 5, 6)

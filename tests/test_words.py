@@ -259,7 +259,7 @@ def test_oracle_rows_match_engine(preset, m):
     tri = triangle_recurrence(make_seed(preset, n_max), m, n_max)
     start = 4 if preset == "ge2" else 1
     for n in range(start, n_max + 1):
-        engine = tuple(tri.value(n, k) for k in range(1, n + 1))
+        engine = tuple(tri.entry(n, k) for k in range(1, n + 1))
         assert oracle_row(preset, m, n) == engine
 
 
