@@ -59,7 +59,6 @@ from .words import (
     composition_to_word,
     count_words,
     mark_histogram,
-    oracle_count,
     oracle_model,
     oracle_row,
     word_to_composition,
@@ -102,7 +101,6 @@ __all__ = [
     "mark_histogram",
     "mat_mul",
     "mat_pow",
-    "oracle_count",
     "oracle_model",
     "oracle_row",
     "partial_bell",

@@ -44,19 +44,25 @@ def _parse_seed_list(text: str) -> list[int]:
         raise ComptriError(f"could not parse {text!r} as comma-separated integers")
 
 
-def _check_at_least_one(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, *flags: str
-) -> None:
-    """A given flag below 1 is a usage error that names the flag."""
-    for flag in flags:
-        value = getattr(args, flag)
-        if value is not None and value < 1:
-            parser.error(f"--{flag} must be at least 1")
+class _IntRange(argparse.Action):
+    """An integer flag with a floor and an optional cap; a value outside is a
+    usage error that names the flag."""
+
+    def __init__(self, option_strings, dest, floor: int, cap: int | None = None, **kwargs):
+        super().__init__(option_strings, dest, type=int, **kwargs)
+        self.floor = floor
+        self.cap = cap
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < self.floor:
+            parser.error(f"{option_string} must be at least {self.floor}")
+        if self.cap is not None and value > self.cap:
+            parser.error(f"{option_string} is capped at {self.cap}")
+        setattr(namespace, self.dest, value)
 
 
 def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser):
     """Returns (seed, seed_repr, N); flag misuse becomes a usage error."""
-    _check_at_least_one(args, parser, "N")
     preset = Preset(args.preset) if args.preset else None
     if args.seed is not None:
         if preset not in (None, Preset.CUSTOM):
@@ -116,8 +122,6 @@ def _emit_triangle(seed_repr, m: int, n: int, rows, fmt: str) -> str:
 
 def _cmd_transform(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     seed, seed_repr, n = _resolve_seed(args, parser)
-    if args.m < 0:
-        parser.error("--m must be >= 0")
     values = iterate_invert(seed, args.m).values
     sys.stdout.write(_emit_sequence(seed_repr, args.m, n, values, args.format))
     return EXIT_OK
@@ -125,10 +129,6 @@ def _cmd_transform(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 def _cmd_triangle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     seed, seed_repr, n = _resolve_seed(args, parser)
-    if args.m < 1:
-        parser.error("--m must be >= 1 for triangles")
-    if n > ORDER_CAP:
-        parser.error(f"--N is capped at {ORDER_CAP}")
     if args.algo == "all":
         triangles = {name: build(seed, args.m, n) for name, build in _BUILDERS.items()}
         mismatches = []
@@ -151,21 +151,15 @@ def _cmd_triangle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    preset = Preset(args.preset) if args.preset else None
-    if preset is None or preset is Preset.CUSTOM or args.seed is not None:
-        parser.error("the oracle needs one of the mapped presets")
-    if args.N is None:
-        parser.error("--N is required")
-    _check_at_least_one(args, parser, "N", "budget")
-    if args.m < 1:
-        parser.error("--m must be >= 1")
-    if args.N > ORDER_CAP:
-        parser.error(f"--N is capped at {ORDER_CAP}")
+    preset = Preset(args.preset)
+    # the GE2 word model starts at n = 4, so a shorter run would compare nothing
+    start = 4 if preset is Preset.GE2 else 1
+    if args.N < start:
+        parser.error(f"--N must be at least {start} with --preset {preset.value}")
     seed = make_seed(preset, args.N)
     tri = triangle_recurrence(seed, args.m, args.N)
     lines = ["n,k,engine,oracle,match"]
     all_match = True
-    start = 4 if preset is Preset.GE2 else 1
     for n in range(start, args.N + 1):
         try:
             counts = oracle_row(preset, args.m, n, args.budget)
@@ -185,9 +179,6 @@ def _cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _check_at_least_one(args, parser, "max", "budget")
-    if args.max is not None and args.max > ORDER_CAP:
-        parser.error(f"--max is capped at {ORDER_CAP}")
     suites = verify.suites(args.max, args.budget)
     total_checks = 0
     total_fails = 0
@@ -210,35 +201,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     preset_names = [p.value for p in Preset]
+    mapped_names = [p.value for p in Preset if p is not Preset.CUSTOM]
 
-    def add_seed_flags(p: argparse.ArgumentParser) -> None:
+    def add_seed_flags(p: argparse.ArgumentParser, n_cap: int | None = None) -> None:
         p.add_argument("--preset", choices=preset_names, help="built-in seed f_0")
         p.add_argument("--seed", help="comma-separated integers for a custom seed")
-        p.add_argument("--N", type=int, default=None, help="prefix length")
+        p.add_argument("--N", action=_IntRange, floor=1, cap=n_cap, help="prefix length")
 
     p = sub.add_parser("transform", help="print the m-th invert transform f_m(1..N)")
     add_seed_flags(p)
-    p.add_argument("--m", type=int, default=1, help="transform depth, 0 echoes the seed")
+    p.add_argument("--m", action=_IntRange, floor=0, default=1, help="transform depth, 0 echoes the seed")
     p.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
     p.set_defaults(handler=_cmd_transform)
 
     p = sub.add_parser("triangle", help="print the depth-m triangle c(n,k)")
-    add_seed_flags(p)
-    p.add_argument("--m", type=int, default=1, help="triangle depth, at least 1")
+    add_seed_flags(p, ORDER_CAP)
+    p.add_argument("--m", action=_IntRange, floor=1, default=1, help="triangle depth, at least 1")
     p.add_argument("--algo", choices=("recurrence", "conv", "bell", "pascal", "all"), default="recurrence")
     p.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
     p.set_defaults(handler=_cmd_triangle)
 
     p = sub.add_parser("oracle", help="compare triangle entries against word counts")
-    add_seed_flags(p)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="word-space bound")
+    p.add_argument("--preset", choices=mapped_names, required=True, help="built-in seed f_0")
+    p.add_argument("--N", action=_IntRange, floor=1, cap=ORDER_CAP, required=True, help="prefix length")
+    p.add_argument("--m", action=_IntRange, floor=1, default=1)
+    p.add_argument("--budget", action=_IntRange, floor=1, default=DEFAULT_BUDGET, help="word-space bound")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("verify", help="run the identity verification suites")
     p.add_argument("--suite", choices=sorted(verify.suites()), default=None, help="run one suite")
-    p.add_argument("--max", type=int, default=None, help="cap the suite's main sweep bound")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="word-space bound")
+    p.add_argument("--max", action=_IntRange, floor=1, cap=ORDER_CAP, help="cap the suite's main sweep bound")
+    p.add_argument("--budget", action=_IntRange, floor=1, default=DEFAULT_BUDGET, help="word-space bound")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

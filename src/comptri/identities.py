@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .sequences import Preset
+from .sequences import Preset, make_seed
+from .triangle import triangle_recurrence
 
 PolynomialZ = tuple[int, ...]
 
@@ -80,20 +81,15 @@ class FormCheck:
         return self.engine == self.formula
 
 
-def check_closed_forms(
-    preset: Preset | str, order: int, m_values: tuple[int, ...] = (1, 2, 3)
-) -> list[FormCheck]:
-    """Compare recurrence-built triangles against the explicit forms.
+def check_closed_forms(preset: Preset | str, order: int) -> list[FormCheck]:
+    """Compare recurrence-built triangles of depths 1-3 against the explicit forms.
 
     Results are ordered by (m, n, k).  Depths without a known form for the
     preset are skipped rather than failed.
     """
-    from .sequences import make_seed
-    from .triangle import triangle_recurrence
-
     preset = Preset(preset)
     results: list[FormCheck] = []
-    for m in m_values:
+    for m in (1, 2, 3):
         if preset is Preset.ODD and m != 1:
             continue
         tri = triangle_recurrence(make_seed(preset, order), m, order)

@@ -158,14 +158,10 @@ def extended_binomial(f: ArithmeticFunction, k: int, n: int) -> int:
     """The f-weighted analogue of C(n+k-1, k-1): the entry c(n+k, k) with weights f.
 
     For f identically 1 this is the number of compositions of n+k into k
-    parts, C(n+k-1, k-1).
+    parts, C(n+k-1, k-1).  Like the builders, n + k is capped at ORDER_CAP.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n + k > len(f):
-        raise InsufficientSeedError(
-            f"need f(1..{n + k}), seed stores {len(f)} terms"
-        )
-    return _rows_from_weights(f.values[: n + k], n + k)[n + k - 1][k - 1]
+    return triangle_recurrence(f, 1, n + k).entry(n + k, k)

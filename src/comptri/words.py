@@ -264,50 +264,40 @@ def word_to_composition(word: Sequence[int]) -> list[int]:
     return parts
 
 
-def oracle_model(preset: Preset | str, m: int, n: int, k: int | None = None) -> WordModel:
-    """The word-counting problem whose answer is the triangle entry c(n, k).
+def oracle_model(preset: Preset | str, m: int, n: int) -> WordModel:
+    """The word-counting problem whose answers are the triangle row c(n, 1..n).
 
     Each preset pairs with one restriction; the marked letter tracks the
-    number of parts, so c(n, k) corresponds to k - 1 marks.  Passing k = None
-    leaves the mark count free (useful with mark_histogram).  GE2 is only
-    covered for n > 3, and CUSTOM seeds have no word model.
+    number of parts, so c(n, k) counts the accepted words with k - 1 marks
+    (see oracle_row).  GE2 is only covered for n > 3, and CUSTOM seeds have
+    no word model.
     """
     preset = Preset(preset)
     if m < 1:
         raise ValueError("depth m must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if k is not None and not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    count = None if k is None else k - 1
     if preset is Preset.ONES:
-        return WordModel(m + 1, n - 1, Restriction.NONE, m, count)
+        return WordModel(m + 1, n - 1, Restriction.NONE, m)
     if preset is Preset.FIB:
-        return WordModel(m + 1, n - 1, Restriction.ISOLATED_ZEROS, m, count)
+        return WordModel(m + 1, n - 1, Restriction.ISOLATED_ZEROS, m)
     if preset is Preset.ODD:
-        return WordModel(m + 1, n - 1, Restriction.NO_ODD_ZERO_RUNS, m, count)
+        return WordModel(m + 1, n - 1, Restriction.NO_ODD_ZERO_RUNS, m)
     if preset is Preset.NATURAL:
-        return WordModel(m + 2, n - 1, Restriction.AVOID_01, m + 1, count)
+        return WordModel(m + 2, n - 1, Restriction.AVOID_01, m + 1)
     if preset is Preset.GE2:
         if n <= 3:
             raise ValueError("the GE2 word model needs n > 3")
-        return WordModel(m + 1, n - 3, Restriction.ISOLATED_NONZEROS, 1, count)
+        return WordModel(m + 1, n - 3, Restriction.ISOLATED_NONZEROS, 1)
     if preset is Preset.TWO_THREE:
-        return WordModel(m + 1, n - 1, Restriction.ZERO_FRAMED_BOUNDED, 1, count)
+        return WordModel(m + 1, n - 1, Restriction.ZERO_FRAMED_BOUNDED, 1)
     raise ValueError("custom seeds have no word model")
-
-
-def oracle_count(
-    preset: Preset | str, m: int, n: int, k: int, budget: int = DEFAULT_BUDGET
-) -> int:
-    """c(n, k) for a preset seed, counted by brute-force word enumeration."""
-    return count_words(oracle_model(preset, m, n, k), budget)
 
 
 def oracle_row(
     preset: Preset | str, m: int, n: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, ...]:
-    """The counts for k = 1..n from a single enumeration of the word space."""
+    """c(n, 1..n) for a preset seed, from one enumeration of its word space."""
     model = oracle_model(preset, m, n)
     hist = mark_histogram(
         model.alphabet, model.length, model.restriction, model.marked_letter, budget

@@ -1,12 +1,15 @@
-"""The public names and the functions the benchmark tracer patches exist."""
+"""The public names and the functions the benchmark tracer patches exist,
+and the README's library session runs."""
 
+import doctest
 import importlib
 import importlib.util
 from pathlib import Path
 
 import comptri
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_all_names_resolve():
@@ -24,3 +27,8 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"comptri.{layer}"), function, None)):
             missing.append(target)
     assert spans.TARGETS and missing == []
+
+
+def test_readme_session():
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.attempted and result.failed == 0

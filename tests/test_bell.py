@@ -3,6 +3,8 @@
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comptri import (
     bell_invert_identity_check,
@@ -87,3 +89,9 @@ def test_invert_identity_for_presets(preset):
 def test_invert_identity_for_explicit_seeds():
     assert bell_invert_identity_check([2, 0, 3, 1, 0, 2], 6)
     assert bell_invert_identity_check([1, 3, 3, 0, 1, 2, 0, 1], 8)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 9) | st.integers(2**63, 2**64 - 1), min_size=1, max_size=12))
+def test_invert_identity_for_custom_seeds(values):
+    assert bell_invert_identity_check(values, len(values))

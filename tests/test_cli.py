@@ -1,10 +1,14 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from comptri import verify
+from comptri import Preset, verify
 from comptri.cli import main
 
 
@@ -147,6 +151,9 @@ def test_usage_errors(capsys):
         ["transform", "--preset", "nope", "--N", "3"],
         ["triangle", "--preset", "ones", "--N", "80"],
         ["triangle", "--preset", "ones", "--N", "4", "--format", "xml"],
+        ["oracle", "--preset", "fib", "--seed", "1,1", "--N", "4"],
+        ["oracle", "--preset", "custom", "--N", "4"],
+        ["oracle", "--preset", "fib"],
         ["verify", "--suite", "nonexistent"],
         ["verify", "--max", "0"],
         ["verify", "--suite", "binomial", "--max", "0"],
@@ -158,34 +165,29 @@ def test_usage_errors(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
     assert "--max is capped at 64" in err
-    for argv, flag in (
-        (["transform", "--preset", "ones", "--N", "0"], "--N"),
-        (["transform", "--seed", "1,2", "--N", "-1"], "--N"),
-        (["triangle", "--preset", "ones", "--N", "0"], "--N"),
-        (["oracle", "--preset", "fib", "--N", "0"], "--N"),
-        (["oracle", "--preset", "fib", "--N", "4", "--budget", "-1"], "--budget"),
-        (["oracle", "--preset", "fib", "--N", "4", "--budget", "0"], "--budget"),
-        (["verify", "--budget", "0"], "--budget"),
-        (["verify", "--max", "0"], "--max"),
+    for argv, message in (
+        (["transform", "--preset", "ones", "--N", "0"], "--N must be at least 1"),
+        (["transform", "--seed", "1,2", "--N", "-1"], "--N must be at least 1"),
+        (["transform", "--preset", "ones", "--m", "-1", "--N", "3"], "--m must be at least 0"),
+        (["triangle", "--preset", "ones", "--N", "0"], "--N must be at least 1"),
+        (["triangle", "--preset", "ones", "--m", "0", "--N", "3"], "--m must be at least 1"),
+        (["oracle", "--preset", "fib", "--N", "0"], "--N must be at least 1"),
+        (["oracle", "--preset", "fib", "--m", "0", "--N", "4"], "--m must be at least 1"),
+        (["oracle", "--preset", "ge2", "--N", "1"], "--N must be at least 4"),
+        (["oracle", "--preset", "ge2", "--N", "3"], "--N must be at least 4"),
+        (["oracle", "--preset", "fib", "--N", "4", "--budget", "-1"], "--budget must be at least 1"),
+        (["oracle", "--preset", "fib", "--N", "4", "--budget", "0"], "--budget must be at least 1"),
+        (["verify", "--budget", "0"], "--budget must be at least 1"),
+        (["verify", "--max", "0"], "--max must be at least 1"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"{flag} must be at least 1" in capsys.readouterr().err
-
-
-def test_transform_negative_m(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["transform", "--preset", "ones", "--m", "-1", "--N", "3"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-
-
-def test_triangle_depth_zero_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["triangle", "--preset", "ones", "--m", "0", "--N", "3"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+        assert message in capsys.readouterr().err
+    # a custom seed longer than the order cap, with no --N, stops in the builders
+    code, out, err = run(capsys, "triangle", "--seed", ",".join(["1"] * 65))
+    assert (code, out) == (2, "")
+    assert "exceeds the cap 64" in err
 
 
 def test_verify_single_suite(capsys):
@@ -234,3 +236,48 @@ def test_verify_reports_failures(capsys, monkeypatch):
         "  chebyshev: Chebyshev coefficient check fails at n=2 k=1\n"
         "  chebyshev: Chebyshev coefficient check fails at n=2 k=2\n",
     )
+
+
+INTS = st.integers(-2, 6).map(str)
+PRESETS = st.sampled_from([p.value for p in Preset])
+SEEDS = st.lists(INTS, min_size=1, max_size=6).map(",".join)
+FORMATS = st.sampled_from(("csv", "json", "bfile"))
+# each subcommand's size flags are always passed, so no example runs at default bounds
+COMMANDS = {
+    "transform": (("--N",), {"--preset": PRESETS, "--seed": SEEDS, "--m": INTS, "--format": FORMATS}),
+    "triangle": (
+        ("--N",),
+        {"--preset": PRESETS, "--seed": SEEDS, "--m": INTS, "--format": FORMATS,
+         "--algo": st.sampled_from(("recurrence", "conv", "bell", "pascal", "all"))},
+    ),
+    "oracle": (("--N", "--budget"), {"--preset": PRESETS, "--m": INTS}),
+    "verify": (("--max", "--budget"), {"--suite": st.sampled_from(sorted(verify.suites()))}),
+}
+JUNK = st.sampled_from(("junk", "--junk", "-", "--", "1,x", "--seed")) | st.text(max_size=3)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    size_flags, flags = COMMANDS[command]
+    argv = [command]
+    for flag in size_flags:
+        argv += [flag, draw(INTS)]
+    # each other flag is passed two times in three, and a junk token one time in four
+    for flag, values in flags.items():
+        if draw(st.integers(0, 2)):
+            argv += [flag, draw(values)]
+    if not draw(st.integers(0, 3)):
+        argv.insert(draw(st.integers(1, len(argv))), draw(JUNK))
+    return argv
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(argvs())
+def test_every_argv_ends_in_a_documented_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)

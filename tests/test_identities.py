@@ -134,14 +134,14 @@ def test_closed_forms_match_engine(preset):
 
 
 def test_closed_forms_report_order():
-    results = check_closed_forms("fib", 4, m_values=(1, 2))
+    results = check_closed_forms("fib", 4)
     keys = [(r.m, r.n, r.k) for r in results]
     assert keys == sorted(keys)
     assert keys[0] == (1, 1, 1)
 
 
 def test_closed_forms_skip_unavailable_depths():
-    results = check_closed_forms("odd", 6, m_values=(1, 2, 3))
+    results = check_closed_forms("odd", 6)
     assert {r.m for r in results} == {1}
 
 

@@ -205,3 +205,10 @@ def test_extended_binomial_weighted():
             assert extended_binomial(fib, k, n - k) == tri.entry(n, k)
     with pytest.raises(InsufficientSeedError):
         extended_binomial(fib, 5, 6)
+
+
+def test_extended_binomial_order_cap():
+    ones = make_seed("ones", 200)
+    with pytest.raises(ValueError):
+        extended_binomial(ones, 32, 33)
+    assert extended_binomial(ones, 32, 32) == comb(63, 31)

@@ -14,7 +14,6 @@ from comptri import (
     count_words,
     make_seed,
     mark_histogram,
-    oracle_count,
     oracle_model,
     oracle_row,
     triangle_recurrence,
@@ -220,8 +219,8 @@ def test_oracle_model_mapping():
     assert (model.alphabet, model.length, model.restriction, model.marked_letter) == (
         3, 4, R.NONE, 2,
     )
-    model = oracle_model("fib", 1, 6, 3)
-    assert (model.alphabet, model.length, model.marked_count) == (2, 5, 2)
+    model = oracle_model("fib", 1, 6)
+    assert (model.alphabet, model.length, model.marked_letter) == (2, 5, 1)
     assert model.restriction is R.ISOLATED_ZEROS
     assert oracle_model("odd", 2, 4).restriction is R.NO_ODD_ZERO_RUNS
     model = oracle_model("natural", 2, 5)
@@ -240,16 +239,14 @@ def test_oracle_model_validation():
         oracle_model("ge2", 1, 3)
     with pytest.raises(ValueError):
         oracle_model("fib", 0, 5)
-    with pytest.raises(ValueError):
-        oracle_model("fib", 1, 5, 6)
 
 
 def test_oracle_frozen_counts():
     # ternary words of length 3 with one 2: 10 with no 00 factor, 5 with all
     # zero runs even (200, 211, 121, 002, 112)
-    assert oracle_count("fib", 2, 4, 2) == 10
-    assert oracle_count("odd", 2, 4, 2) == 5
-    assert oracle_count("ones", 2, 3, 2) == 4
+    assert oracle_row("fib", 2, 4)[1] == 10
+    assert oracle_row("odd", 2, 4)[1] == 5
+    assert oracle_row("ones", 2, 3)[1] == 4
 
 
 @pytest.mark.parametrize("preset", ("ones", "fib", "odd", "natural", "ge2", "two_three"))
@@ -262,8 +259,3 @@ def test_oracle_rows_match_engine(preset, m):
         engine = tuple(tri.entry(n, k) for k in range(1, n + 1))
         assert oracle_row(preset, m, n) == engine
 
-
-def test_oracle_row_matches_oracle_count():
-    row = oracle_row("two_three", 2, 7)
-    for k in range(1, 8):
-        assert row[k - 1] == oracle_count("two_three", 2, 7, k)
