@@ -168,9 +168,7 @@ def test_usage_errors(capsys):
     for argv, message in (
         (["transform", "--preset", "ones", "--N", "0"], "--N must be at least 1"),
         (["transform", "--seed", "1,2", "--N", "-1"], "--N must be at least 1"),
-        (["transform", "--preset", "ones", "--m", "-1", "--N", "3"], "--m must be at least 0"),
         (["triangle", "--preset", "ones", "--N", "0"], "--N must be at least 1"),
-        (["triangle", "--preset", "ones", "--m", "0", "--N", "3"], "--m must be at least 1"),
         (["oracle", "--preset", "fib", "--N", "0"], "--N must be at least 1"),
         (["oracle", "--preset", "fib", "--m", "0", "--N", "4"], "--m must be at least 1"),
         (["oracle", "--preset", "ge2", "--N", "1"], "--N must be at least 4"),
@@ -188,6 +186,20 @@ def test_usage_errors(capsys):
     code, out, err = run(capsys, "triangle", "--seed", ",".join(["1"] * 65))
     assert (code, out) == (2, "")
     assert "exceeds the cap 64" in err
+
+
+def test_transform_negative_m(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--preset", "ones", "--m", "-1", "--N", "3"])
+    assert exc.value.code == 2
+    assert "--m must be at least 0" in capsys.readouterr().err
+
+
+def test_triangle_depth_zero_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["triangle", "--preset", "ones", "--m", "0", "--N", "3"])
+    assert exc.value.code == 2
+    assert "--m must be at least 1" in capsys.readouterr().err
 
 
 def test_verify_single_suite(capsys):
