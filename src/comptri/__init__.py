@@ -15,6 +15,7 @@ from .errors import (
     InsufficientSeedError,
     InternalConsistencyError,
     InvalidSeedError,
+    OutputSizeError,
 )
 from .identities import (
     FormCheck,
@@ -38,6 +39,7 @@ from .pascal import (
 from .sequences import (
     ArithmeticFunction,
     Preset,
+    check_output_size,
     invert_transform,
     iterate_invert,
     make_seed,
@@ -75,6 +77,7 @@ __all__ = [
     "InsufficientSeedError",
     "InternalConsistencyError",
     "InvalidSeedError",
+    "OutputSizeError",
     "LowerTriangularMatrix",
     "Preset",
     "Restriction",
@@ -88,6 +91,7 @@ __all__ = [
     "check_binomial_inversion",
     "check_chebyshev",
     "check_closed_forms",
+    "check_output_size",
     "check_power_expansion",
     "check_word_binomial",
     "closed_form",

@@ -1,8 +1,8 @@
 """Command-line frontend: transforms, triangles, word oracles, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 enumeration
-budget exceeded.  All output is UTF-8 with LF line endings and is
-deterministic for a fixed invocation.
+budget or output-size bound exceeded.  All output is UTF-8 with LF line
+endings and is deterministic for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import sys
 from typing import Sequence
 
 from . import verify
-from .errors import ComptriError, EnumerationBudgetError
-from .sequences import Preset, iterate_invert, make_seed
+from .errors import ComptriError, EnumerationBudgetError, OutputSizeError
+from .sequences import Preset, check_output_size, iterate_invert, make_seed
 from .triangle import (
     ORDER_CAP,
     triangle_bell,
@@ -80,6 +80,9 @@ def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser):
         parser.error("the custom preset needs --seed")
     if args.N is None:
         parser.error("--N is required with --preset")
+    # the bound grows with max f_0, which it floors at 1, so a prefix refused
+    # at 1 is refused for every preset: check before building a long one
+    check_output_size(args.N, args.m, 1)
     try:
         seed = make_seed(preset, args.N)
     except ComptriError as exc:
@@ -122,6 +125,7 @@ def _emit_triangle(seed_repr, m: int, n: int, rows, fmt: str) -> str:
 
 def _cmd_transform(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     seed, seed_repr, n = _resolve_seed(args, parser)
+    check_output_size(n, args.m, max(seed.values))
     values = iterate_invert(seed, args.m).values
     sys.stdout.write(_emit_sequence(seed_repr, args.m, n, values, args.format))
     return EXIT_OK
@@ -242,7 +246,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except EnumerationBudgetError as exc:
+    except (EnumerationBudgetError, OutputSizeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
     except (ComptriError, ValueError) as exc:

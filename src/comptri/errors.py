@@ -21,5 +21,9 @@ class EnumerationBudgetError(ComptriError):
     """A brute-force enumeration would exceed the configured word budget."""
 
 
+class OutputSizeError(ComptriError):
+    """A computation's predicted output exceeds the output-size bound."""
+
+
 class InternalConsistencyError(ComptriError):
     """An exactness assertion failed; this indicates a bug, never a valid state."""

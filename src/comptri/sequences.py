@@ -9,6 +9,21 @@ f is the sequence g with
 so g counts nonempty compositions (ordered sums) weighted by f over the
 parts.  Iterating the transform m times sends f_0 to f_m; the prefix length
 is preserved and f_m(1) = f_0(1) for every m.
+
+In generating functions one step is F -> F / (1 - F), so m steps give the
+closed form F_m = F_0 / (1 - m F_0), that is
+
+    f_m(n) = f_0(n) + m * sum_{i=1}^{n-1} f_0(i) * f_m(n-i).
+
+iterate_invert computes f_m by this recurrence in one pass, whatever m is.
+invert_transform keeps the one-step definition.  The checks of f_m that do
+not use the closed form are transform_via_triangle, the row sums of
+depth-m triangles built from the depth-(m-1) weights (verify.row_sums), and
+verify.depth_one_expansion.
+
+check_output_size is the one output-size rule: it bounds the bit length of
+f_m(1..N), and so of every triangle entry c_m(n, k) <= f_m(n), before any
+work starts, and refuses a run whose output would be too large to print.
 """
 
 from __future__ import annotations
@@ -16,7 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InsufficientSeedError, InvalidSeedError
+from .errors import InsufficientSeedError, InvalidSeedError, OutputSizeError
+
+# str() of an int refuses more than 4300 decimal digits (about 14 300 bits)
+MAX_ENTRY_BITS = 12_000
+MAX_OUTPUT_BITS = 1 << 24
 
 
 class Preset(str, Enum):
@@ -116,13 +135,49 @@ def invert_transform(f: ArithmeticFunction) -> ArithmeticFunction:
 
 
 def iterate_invert(f0: ArithmeticFunction, m: int) -> ArithmeticFunction:
-    """The m-th invert transform f_m; m = 0 returns f0 itself."""
+    """The m-th invert transform f_m; m = 0 returns f0 itself.
+
+    One pass over the nonzero terms of f0, by the closed form
+    f_m(n) = f_0(n) + m * sum_{i<n} f_0(i) f_m(n-i), so its cost does not
+    grow with m.
+    """
     if m < 0:
         raise ValueError("the transform is only iterated forward, m must be >= 0")
-    f = f0
-    for _ in range(m):
-        f = invert_transform(f)
-    return f
+    if m == 0:
+        return f0
+    nonzero = [(i, v) for i, v in enumerate(f0.values, start=1) if v]
+    g: list[int] = []
+    for n, value in enumerate(f0.values, start=1):
+        acc = 0
+        for i, v in nonzero:
+            if i >= n:
+                break
+            acc += v * g[n - i - 1]
+        g.append(value + m * acc)
+    return ArithmeticFunction(tuple(g), label=f0.label)
+
+
+def check_output_size(n: int, m: int, top: int) -> int:
+    """Bit bound b on f_m(1..n) for a seed with max f_0(1..n) = top; refuses a
+    run whose output would be too large, before any work starts.
+
+    With T = max(1, top), f_m(n) <= T (1 + m T)^(n-1) by induction on the
+    closed form, so b = bitlen(T) + (n-1) bitlen(m T + 1).  Every triangle
+    entry c_m(n, k) is at most f_m(n), and each binomial weight of
+    triangle_pascal is at most an entry of the all-ones seed's triangle,
+    which T >= 1 covers, so b bounds them too.  Raises
+    OutputSizeError when b exceeds MAX_ENTRY_BITS or n * b exceeds
+    MAX_OUTPUT_BITS; returns b otherwise.
+    """
+    top = max(top, 1)
+    bits = top.bit_length() + (n - 1) * (m * top + 1).bit_length()
+    if bits > MAX_ENTRY_BITS or n * bits > MAX_OUTPUT_BITS:
+        raise OutputSizeError(
+            f"output-size bound exceeded: f_{m}(1..{n}) may need {bits} bits per entry, "
+            f"{n * bits} in all; the bound is {MAX_ENTRY_BITS} bits per entry and "
+            f"{MAX_OUTPUT_BITS} in all"
+        )
+    return bits
 
 
 def transform_via_triangle(f0: ArithmeticFunction, m: int, n: int) -> int:

@@ -10,8 +10,9 @@ w(i):
 
 for 1 <= k <= n.  Every builder returns the triangle up to a given order
 as a :class:`~comptri.pascal.LowerTriangularMatrix` with entry (n, k) equal
-to c(n, k); the order is capped at ORDER_CAP.  Four algorithms compute the
-same triangle:
+to c(n, k); the order is capped at ORDER_CAP, and a triangle whose
+entries could outgrow sequences.check_output_size is refused before any
+work.  Four algorithms compute the same triangle:
 
   * triangle_recurrence: peel off the first part,
         c(n, k) = sum_{i=1}^{n-k+1} w(i) c(n-i, k-1);
@@ -35,12 +36,13 @@ from math import comb
 from .bell import bell_table
 from .errors import InsufficientSeedError, InternalConsistencyError
 from .pascal import LowerTriangularMatrix
-from .sequences import ArithmeticFunction, iterate_invert
+from .sequences import ArithmeticFunction, check_output_size, iterate_invert
 
 ORDER_CAP = 64
 
 
-def _weights(f0: ArithmeticFunction, m: int, order: int) -> tuple[int, ...]:
+def _prefix(f0: ArithmeticFunction, m: int, order: int) -> ArithmeticFunction:
+    """f0(1..order), once the order and the size of the depth-m triangle pass."""
     if m < 1:
         raise ValueError("depth m must be >= 1")
     if order < 1:
@@ -51,7 +53,14 @@ def _weights(f0: ArithmeticFunction, m: int, order: int) -> tuple[int, ...]:
         raise InsufficientSeedError(
             f"order {order} needs f_0(1..{order}), seed stores {len(f0)} terms"
         )
-    return iterate_invert(f0, m - 1).values[:order]
+    if order < len(f0):
+        f0 = ArithmeticFunction(f0.values[:order], label=f0.label)
+    check_output_size(order, m, max(f0.values))
+    return f0
+
+
+def _weights(f0: ArithmeticFunction, m: int, order: int) -> tuple[int, ...]:
+    return iterate_invert(_prefix(f0, m, order), m - 1).values
 
 
 def _rows_from_weights(w: tuple[int, ...], order: int) -> tuple[tuple[int, ...], ...]:
@@ -125,11 +134,9 @@ def triangle_bell(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangular
 
 def triangle_pascal(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangularMatrix:
     """Build the depth-m triangle from the depth-1 triangle and binomials."""
-    base = triangle_recurrence(f0, 1, order)
     if m == 1:
-        return base
-    if m < 1:
-        raise ValueError("depth m must be >= 1")
+        return triangle_recurrence(f0, 1, order)
+    base = triangle_recurrence(_prefix(f0, m, order), 1, order)
     # weight[i - 1][k - 1] = (m-1)^(i-k) C(i-1, k-1), the same for every row
     weight = [
         [(m - 1) ** (i - k) * comb(i - 1, k - 1) for k in range(1, i + 1)]

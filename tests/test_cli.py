@@ -3,13 +3,20 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import comptri
 from comptri import Preset, verify
 from comptri.cli import main
+
+SRC = str(Path(comptri.__file__).resolve().parents[1])
 
 
 def run(capsys, *args):
@@ -202,6 +209,34 @@ def test_triangle_depth_zero_rejected(capsys):
     assert "--m must be at least 1" in capsys.readouterr().err
 
 
+def test_transform_past_the_size_bound_exits_3(capsys):
+    code, out, err = run(capsys, "transform", "--preset", "natural", "--N", "800", "--m", "1" + "0" * 30)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: output-size bound exceeded: ")
+    assert "the bound is 12000 bits per entry and 16777216 in all" in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "stdout"),
+    [
+        (("transform", "--preset", "ones", "--m", "99999999999", "--N", "1"), "1\n"),
+        (("triangle", "--preset", "ones", "--m", "99999999999", "--N", "1"), "n,k,value\n1,1,1\n"),
+        (("oracle", "--preset", "ones", "--m", "99999999999", "--N", "1"),
+         "n,k,engine,oracle,match\n1,1,1,1,ok\n"),
+        (("transform", "--seed", "5,0,7", "--m", "99999999999"),
+         "5,2499999999975,1249999999975000000000132\n"),
+    ],
+)
+def test_huge_depth_returns_at_once(argv, stdout):
+    # a subprocess with a timeout, so work that grows with m fails here instead of hanging
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "comptri.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+
+
 def test_verify_single_suite(capsys):
     code, out, err = run(capsys, "verify", "--suite", "chebyshev", "--max", "8")
     assert code == 0
@@ -250,7 +285,7 @@ def test_verify_reports_failures(capsys, monkeypatch):
     )
 
 
-INTS = st.integers(-2, 6).map(str)
+INTS = st.sampled_from([*range(-2, 7), 99999999999]).map(str)
 PRESETS = st.sampled_from([p.value for p in Preset])
 SEEDS = st.lists(INTS, min_size=1, max_size=6).map(",".join)
 FORMATS = st.sampled_from(("csv", "json", "bfile"))

@@ -1,12 +1,16 @@
 """Seed construction and the iterated invert transform."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from comptri import (
     ArithmeticFunction,
     InsufficientSeedError,
     InvalidSeedError,
+    OutputSizeError,
     Preset,
+    check_output_size,
     invert_transform,
     iterate_invert,
     make_seed,
@@ -22,6 +26,16 @@ PRESETS = ("ones", "fib", "odd", "natural", "ge2", "two_three")
 FIB_DEPTH1 = (1, 2, 3, 5, 8, 13, 21, 34)
 ONES_DEPTH1 = (1, 2, 4, 8, 16)
 FIB_DEPTH2_AT_4 = 22
+
+# custom seeds f_0(1..N), N <= 16: digits or 64-bit entries, f(1) may be 0,
+# and some seeds are all zeros after their first few terms
+ENTRIES = st.integers(0, 9) | st.integers(2**63, 2**64 - 1)
+CUSTOM_SEEDS = (
+    st.lists(ENTRIES, min_size=1, max_size=16)
+    | st.builds(lambda head, zeros: head + [0] * zeros,
+                st.lists(ENTRIES, min_size=1, max_size=3), st.integers(0, 13))
+).map(lambda values: ArithmeticFunction(tuple(values), "custom"))
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 
 
 def test_preset_prefixes():
@@ -126,6 +140,37 @@ def test_iterates_compose():
     f0 = make_seed("natural", 8)
     assert iterate_invert(invert_transform(f0), 1).values == iterate_invert(f0, 2).values
     assert iterate_invert(iterate_invert(f0, 2), 3).values == iterate_invert(f0, 5).values
+
+
+@PROPERTY
+@given(CUSTOM_SEEDS, st.integers(0, 5))
+@example(ArithmeticFunction((0, 7, 0, 0, 0, 0)), 5)
+def test_one_pass_equals_repeated_invert_steps(f0, m):
+    stepped = f0
+    for _ in range(m):
+        stepped = invert_transform(stepped)
+    assert iterate_invert(f0, m).values == stepped.values
+
+
+@PROPERTY
+@given(CUSTOM_SEEDS, st.integers(0, 5) | st.integers(6, 2**80))
+@example(ArithmeticFunction((0, 0, 0)), 9)
+def test_entry_bits_stay_within_the_predicted_bound(f0, m):
+    bits = check_output_size(len(f0), m, max(f0.values))
+    assert max(iterate_invert(f0, m).values).bit_length() <= bits
+
+
+def test_output_size_rule():
+    # the largest benchmark transform: natural seed, N = 800, m = 3
+    assert check_output_size(800, 3, 800) == 9598
+    # an all-zero seed is bounded as if its largest term were 1
+    assert check_output_size(5, 4, 0) == check_output_size(5, 4, 1)
+    # refused by the bits of one entry, then by the bits of all N entries
+    with pytest.raises(OutputSizeError, match="12000 bits per entry"):
+        check_output_size(2, 2**12000, 1)
+    assert check_output_size(2000, 1, 1) * 2000 <= 2**24
+    with pytest.raises(OutputSizeError, match="16777216 in all"):
+        check_output_size(3000, 1, 1)
 
 
 @pytest.mark.parametrize("preset", PRESETS)

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from comptri import (
     ArithmeticFunction,
     InsufficientSeedError,
+    OutputSizeError,
     extended_binomial,
     iterate_invert,
     make_seed,
     mat_mul,
     pascal_lower,
     row_sum,
+    triangle,
     triangle_bell,
     triangle_convolution,
     triangle_pascal,
@@ -179,6 +181,28 @@ def test_order_cap():
         with pytest.raises(ValueError):
             build(f0, 1, 65)
         assert build(f0, 1, 64).order == 64
+
+
+def test_long_seed_is_cut_to_the_order(monkeypatch):
+    # f(11) alone would break the size bound; the order-10 triangle never reads it
+    long_seed = ArithmeticFunction((1,) * 10 + (2**12000,))
+    for build in BUILDERS:
+        assert build(long_seed, 3, 10).rows == build(make_seed("ones", 10), 3, 10).rows
+    lengths = []
+    monkeypatch.setattr(triangle, "iterate_invert", lambda f, m: lengths.append(len(f)) or f)
+    triangle_recurrence(make_seed("natural", 800), 3, 10)
+    assert lengths == [10]
+
+
+def test_output_size_bound_refuses_every_route():
+    # entries of the all-ones order-20 triangle have up to 1 + 19 bitlen(m + 1) bits
+    ones = make_seed("ones", 20)
+    for build in BUILDERS:
+        with pytest.raises(OutputSizeError):
+            build(ones, 2**700, 20)
+        assert build(ones, 2**600, 20).order == 20
+    with pytest.raises(OutputSizeError):
+        extended_binomial(ArithmeticFunction((2**11999, 1)), 1, 1)
 
 
 def test_depth_validation():
