@@ -43,11 +43,11 @@ from .sequences import (
     invert_transform,
     iterate_invert,
     make_seed,
-    transform_via_triangle,
 )
 from .triangle import (
     extended_binomial,
     row_sum,
+    transform_via_triangle,
     triangle_bell,
     triangle_convolution,
     triangle_pascal,

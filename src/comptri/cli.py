@@ -13,8 +13,8 @@ import sys
 from typing import Sequence
 
 from . import verify
-from .errors import ComptriError, EnumerationBudgetError, OutputSizeError
-from .sequences import Preset, check_output_size, iterate_invert, make_seed
+from .errors import ComptriError, EnumerationBudgetError, InsufficientSeedError, OutputSizeError
+from .sequences import ArithmeticFunction, Preset, check_output_size, iterate_invert, make_seed
 from .triangle import (
     ORDER_CAP,
     triangle_bell,
@@ -28,6 +28,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+BUDGET_CAP = 1 << 30  # under half a minute at about 5e7 words/s
 
 _BUILDERS = {
     "recurrence": triangle_recurrence,
@@ -63,31 +65,28 @@ class _IntRange(argparse.Action):
 
 def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser):
     """Returns (seed, seed_repr, N); flag misuse becomes a usage error."""
-    preset = Preset(args.preset) if args.preset else None
     if args.seed is not None:
-        if preset not in (None, Preset.CUSTOM):
+        if args.preset not in (None, "custom"):
             parser.error("--seed only combines with --preset custom")
         try:
             values = _parse_seed_list(args.seed)
             n = args.N if args.N is not None else len(values)
-            seed = make_seed(Preset.CUSTOM, n, values)
+            if len(values) < n:
+                raise InsufficientSeedError(f"custom seed has {len(values)} terms, {n} requested")
+            seed = ArithmeticFunction(tuple(values[:n]), label="custom")
         except ComptriError as exc:
             parser.error(str(exc))
         return seed, values[:n], n
-    if preset is None:
+    if args.preset is None:
         parser.error("one of --preset or --seed is required")
-    if preset is Preset.CUSTOM:
+    if args.preset == "custom":
         parser.error("the custom preset needs --seed")
     if args.N is None:
         parser.error("--N is required with --preset")
     # the bound grows with max f_0, which it floors at 1, so a prefix refused
     # at 1 is refused for every preset: check before building a long one
     check_output_size(args.N, args.m, 1)
-    try:
-        seed = make_seed(preset, args.N)
-    except ComptriError as exc:
-        parser.error(str(exc))
-    return seed, preset.value, args.N
+    return make_seed(args.preset, args.N), args.preset, args.N
 
 
 def _emit_sequence(seed_repr, m: int, n: int, values: Sequence[int], fmt: str) -> str:
@@ -205,10 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     preset_names = [p.value for p in Preset]
-    mapped_names = [p.value for p in Preset if p is not Preset.CUSTOM]
 
     def add_seed_flags(p: argparse.ArgumentParser, n_cap: int | None = None) -> None:
-        p.add_argument("--preset", choices=preset_names, help="built-in seed f_0")
+        p.add_argument("--preset", choices=[*preset_names, "custom"], help="built-in seed f_0")
         p.add_argument("--seed", help="comma-separated integers for a custom seed")
         p.add_argument("--N", action=_IntRange, floor=1, cap=n_cap, help="prefix length")
 
@@ -226,16 +224,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_triangle)
 
     p = sub.add_parser("oracle", help="compare triangle entries against word counts")
-    p.add_argument("--preset", choices=mapped_names, required=True, help="built-in seed f_0")
+    p.add_argument("--preset", choices=preset_names, required=True, help="built-in seed f_0")
     p.add_argument("--N", action=_IntRange, floor=1, cap=ORDER_CAP, required=True, help="prefix length")
     p.add_argument("--m", action=_IntRange, floor=1, default=1)
-    p.add_argument("--budget", action=_IntRange, floor=1, default=DEFAULT_BUDGET, help="word-space bound")
+    p.add_argument("--budget", action=_IntRange, floor=1, cap=BUDGET_CAP, default=DEFAULT_BUDGET,
+                   help="word-space bound")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("verify", help="run the identity verification suites")
     p.add_argument("--suite", choices=sorted(verify.suites()), default=None, help="run one suite")
     p.add_argument("--max", action=_IntRange, floor=1, cap=ORDER_CAP, help="cap the suite's main sweep bound")
-    p.add_argument("--budget", action=_IntRange, floor=1, default=DEFAULT_BUDGET, help="word-space bound")
+    p.add_argument("--budget", action=_IntRange, floor=1, cap=BUDGET_CAP, default=DEFAULT_BUDGET,
+                   help="word-space bound")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -6,7 +6,7 @@ class ComptriError(Exception):
 
 
 class InvalidSeedError(ComptriError):
-    """A seed definition is unusable (empty custom list, negative entry, bad length)."""
+    """A seed definition is unusable (no terms, a negative entry, bad length)."""
 
 
 class InsufficientSeedError(ComptriError):

@@ -17,9 +17,9 @@ closed form F_m = F_0 / (1 - m F_0), that is
 
 iterate_invert computes f_m by this recurrence in one pass, whatever m is.
 invert_transform keeps the one-step definition.  The checks of f_m that do
-not use the closed form are transform_via_triangle, the row sums of
-depth-m triangles built from the depth-(m-1) weights (verify.row_sums), and
-verify.depth_one_expansion.
+not use the closed form are triangle.transform_via_triangle, the row sums
+of depth-m triangles built from the depth-(m-1) weights (verify.row_sums),
+and verify.depth_one_expansion.
 
 check_output_size is the one output-size rule: it bounds the bit length of
 f_m(1..N), and so of every triangle entry c_m(n, k) <= f_m(n), before any
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InsufficientSeedError, InvalidSeedError, OutputSizeError
+from .errors import InvalidSeedError, OutputSizeError
 
 # str() of an int refuses more than 4300 decimal digits (about 14 300 bits)
 MAX_ENTRY_BITS = 12_000
@@ -39,7 +39,7 @@ MAX_OUTPUT_BITS = 1 << 24
 
 
 class Preset(str, Enum):
-    """Built-in seed functions f_0."""
+    """The six built-in seed functions f_0; an explicit f_0 is an ArithmeticFunction."""
 
     ONES = "ones"
     FIB = "fib"
@@ -47,7 +47,6 @@ class Preset(str, Enum):
     NATURAL = "natural"
     GE2 = "ge2"
     TWO_THREE = "two_three"
-    CUSTOM = "custom"
 
 
 def _preset_value(preset: Preset, i: int) -> int:
@@ -63,7 +62,6 @@ def _preset_value(preset: Preset, i: int) -> int:
         return 0 if i == 1 else 1
     if preset is Preset.TWO_THREE:
         return 1 if i in (2, 3) else 0
-    raise InvalidSeedError(f"preset {preset!r} has no formula")
 
 
 @dataclass(frozen=True)
@@ -95,28 +93,12 @@ class ArithmeticFunction:
         return self.values[n - 1]
 
 
-def make_seed(
-    preset: Preset | str,
-    n_terms: int,
-    custom_values: list[int] | tuple[int, ...] | None = None,
-) -> ArithmeticFunction:
-    """Build the prefix f_0(1..n_terms) for a preset, or wrap an explicit list.
-
-    CUSTOM requires ``custom_values``; its length must cover ``n_terms``.
-    """
+def make_seed(preset: Preset | str, n_terms: int) -> ArithmeticFunction:
+    """The prefix f_0(1..n_terms) of a preset; wrap an explicit f_0 in
+    ArithmeticFunction instead."""
     preset = Preset(preset)
     if n_terms < 1:
         raise InvalidSeedError("n_terms must be at least 1")
-    if preset is Preset.CUSTOM:
-        if not custom_values:
-            raise InvalidSeedError("a custom seed needs an explicit nonempty list")
-        if len(custom_values) < n_terms:
-            raise InsufficientSeedError(
-                f"custom seed has {len(custom_values)} terms, {n_terms} requested"
-            )
-        return ArithmeticFunction(tuple(custom_values[:n_terms]), label=preset.value)
-    if custom_values is not None:
-        raise InvalidSeedError("explicit values are only valid with the custom preset")
     return ArithmeticFunction(
         tuple(_preset_value(preset, i) for i in range(1, n_terms + 1)),
         label=preset.value,
@@ -178,19 +160,3 @@ def check_output_size(n: int, m: int, top: int) -> int:
             f"{MAX_OUTPUT_BITS} in all"
         )
     return bits
-
-
-def transform_via_triangle(f0: ArithmeticFunction, m: int, n: int) -> int:
-    """f_m(n) recovered from the depth-1 triangle: sum_i m^(i-1) c_1(n, i).
-
-    Independent of iterate_invert except for the shared seed; useful as a
-    cross-check of both routes.
-    """
-    from .triangle import triangle_recurrence
-
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not 1 <= n <= len(f0):
-        raise IndexError(f"n must lie in 1..{len(f0)}")
-    tri = triangle_recurrence(f0, 1, n)
-    return sum(m ** (i - 1) * tri.entry(n, i) for i in range(1, n + 1))

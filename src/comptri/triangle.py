@@ -24,9 +24,10 @@ work.  Four algorithms compute the same triangle:
         c(n, k) = sum_{i=k}^{n} (m-1)^(i-k) C(i-1, k-1) c_1(n, i).
 
 They share only the seed and the invert transform, so agreement across all
-four is a strong consistency check.  The recurrence also needs
-c(0, 0) = 1 and c(n, 0) = 0 for n >= 1; those conventions live only in
-_rows_from_weights, which keeps column 0 while it fills the rows.
+four is a strong consistency check; at m = 1 triangle_pascal is the
+recurrence itself, so only three are independent.  The recurrence also
+needs c(0, 0) = 1 and c(n, 0) = 0 for n >= 1; those conventions live only
+in _rows_from_weights, which keeps column 0 while it fills the rows.
 """
 
 from __future__ import annotations
@@ -133,7 +134,10 @@ def triangle_bell(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangular
 
 
 def triangle_pascal(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangularMatrix:
-    """Build the depth-m triangle from the depth-1 triangle and binomials."""
+    """Build the depth-m triangle from the depth-1 triangle and binomials.
+
+    At m = 1 the weights are the identity, so it returns triangle_recurrence's
+    triangle at half the cost; it is not an independent route there."""
     if m == 1:
         return triangle_recurrence(f0, 1, order)
     base = triangle_recurrence(_prefix(f0, m, order), 1, order)
@@ -159,6 +163,20 @@ def row_sum(tri: LowerTriangularMatrix, n: int) -> int:
     if not 1 <= n <= tri.order:
         raise IndexError(f"n must lie in 1..{tri.order}")
     return sum(tri.rows[n - 1])
+
+
+def transform_via_triangle(f0: ArithmeticFunction, m: int, n: int) -> int:
+    """f_m(n) recovered from the depth-1 triangle: sum_i m^(i-1) c_1(n, i).
+
+    Independent of iterate_invert except for the shared seed; useful as a
+    cross-check of both routes.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if not 1 <= n <= len(f0):
+        raise IndexError(f"n must lie in 1..{len(f0)}")
+    tri = triangle_recurrence(f0, 1, n)
+    return sum(m ** (i - 1) * tri.entry(n, i) for i in range(1, n + 1))
 
 
 def extended_binomial(f: ArithmeticFunction, k: int, n: int) -> int:

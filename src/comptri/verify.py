@@ -27,11 +27,10 @@ from .identities import (
     check_word_binomial,
 )
 from .pascal import identity, mat_mul, mat_pow, pascal_lower, shifted_pascal_inverse
-from .sequences import ArithmeticFunction, Preset, iterate_invert, make_seed, transform_via_triangle
-from .triangle import row_sum, triangle_recurrence
-from .words import DEFAULT_BUDGET, Restriction, mark_histogram
+from .sequences import ArithmeticFunction, Preset, iterate_invert, make_seed
+from .triangle import row_sum, transform_via_triangle, triangle_recurrence
+from .words import DEFAULT_BUDGET, oracle_row
 
-PRESETS = tuple(p for p in Preset if p is not Preset.CUSTOM)
 DEPTHS = range(1, 6)
 
 
@@ -78,13 +77,13 @@ def combine(*sweeps: Sweep) -> Sweep:
 
 def preset_seeds(n_terms: int) -> list[ArithmeticFunction]:
     """f_0(1..n_terms) of each preset, labelled with its name."""
-    return [make_seed(p, n_terms) for p in PRESETS]
+    return [make_seed(p, n_terms) for p in Preset]
 
 
 @_sweep
 def row_sums(n_max: int):
     """Row n of the depth-m triangle sums to f_m(n), for the presets, m <= 5, n <= n_max."""
-    for preset in PRESETS:
+    for preset in Preset:
         f0 = make_seed(preset, n_max)
         for m in DEPTHS:
             tri = triangle_recurrence(f0, m, n_max)
@@ -98,7 +97,7 @@ def row_sums(n_max: int):
 @_sweep
 def depth_one_expansion(n_max: int):
     """f_m(n) = sum_i m^(i-1) c_1(n, i), for the presets, m <= 5, n <= n_max."""
-    for preset in PRESETS:
+    for preset in Preset:
         f0 = make_seed(preset, n_max)
         base = triangle_recurrence(f0, 1, n_max)
         for m in DEPTHS:
@@ -113,7 +112,7 @@ def depth_one_expansion(n_max: int):
 @_sweep
 def triangle_transform(n_max: int):
     """transform_via_triangle(f_0, m, n) = f_m(n), for the presets, m <= 5, n <= n_max."""
-    for preset in PRESETS:
+    for preset in Preset:
         f0 = make_seed(preset, n_max)
         for m in DEPTHS:
             fm = iterate_invert(f0, m)
@@ -153,7 +152,7 @@ def pascal_relations(order: int, inverse_max: int, power_orders: Iterable[int]):
     shifted Pascal inverse pair at orders 1..inverse_max; and L^m against its
     closed form m^(i-j) C(i-1, j-1) for m <= 6 at each of ``power_orders``."""
     ell = pascal_lower(order)
-    for preset in PRESETS:
+    for preset in Preset:
         f0 = make_seed(preset, order)
         mats = [triangle_recurrence(f0, m, order) for m in range(1, 5)]
         for m in range(2, 5):
@@ -186,7 +185,7 @@ def pascal_relations(order: int, inverse_max: int, power_orders: Iterable[int]):
 @_sweep
 def closed_forms(order: int):
     """Recurrence triangles against the closed binomial forms, presets, m <= 3, n <= order."""
-    for preset in PRESETS:
+    for preset in Preset:
         for r in check_closed_forms(preset, order):
             yield r.ok or (
                 f"{preset.value} m={r.m} n={r.n} k={r.k}: engine {r.engine} != formula {r.formula}"
@@ -200,7 +199,7 @@ def chebyshev(total: int, budget: int = DEFAULT_BUDGET):
     One enumeration of the ternary words of length n-1, counted by twos,
     serves every k."""
     for n in range(1, total):
-        by_twos = mark_histogram(3, n - 1, Restriction.NONE, 2, budget)
+        by_twos = oracle_row(Preset.ONES, 2, n, budget)
         for k in range(1, min(n, total - n) + 1):
             yield check_chebyshev(n, k, by_twos[k - 1]) or (
                 f"Chebyshev coefficient check fails at n={n} k={k}"
@@ -213,7 +212,7 @@ def word_binomial(total: int, budget: int = DEFAULT_BUDGET):
 
     One enumeration per n serves every k; no word of length n-1 has k-1 > n-1 twos."""
     for n in range(1, total):
-        by_twos = mark_histogram(3, n - 1, Restriction.AVOID_01, 2, budget)
+        by_twos = oracle_row(Preset.NATURAL, 1, n, budget)
         for k in range(1, total - n + 1):
             words = by_twos[k - 1] if k <= n else 0
             yield check_word_binomial(n, k, words) or f"word-count identity fails at n={n} k={k}"

@@ -269,8 +269,7 @@ def oracle_model(preset: Preset | str, m: int, n: int) -> WordModel:
 
     Each preset pairs with one restriction; the marked letter tracks the
     number of parts, so c(n, k) counts the accepted words with k - 1 marks
-    (see oracle_row).  GE2 is only covered for n > 3, and CUSTOM seeds have
-    no word model.
+    (see oracle_row).  GE2 is only covered for n > 3.
     """
     preset = Preset(preset)
     if m < 1:
@@ -291,7 +290,6 @@ def oracle_model(preset: Preset | str, m: int, n: int) -> WordModel:
         return WordModel(m + 1, n - 3, Restriction.ISOLATED_NONZEROS, 1)
     if preset is Preset.TWO_THREE:
         return WordModel(m + 1, n - 1, Restriction.ZERO_FRAMED_BOUNDED, 1)
-    raise ValueError("custom seeds have no word model")
 
 
 def oracle_row(

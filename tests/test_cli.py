@@ -62,6 +62,18 @@ def test_transform_custom_seed_defaults_length(capsys):
     assert out == "1,3,8\n"
 
 
+@pytest.mark.parametrize(
+    ("command", "stdout"),
+    [
+        ("transform", "4,16,71\n"),
+        ("triangle", "n,k,value\n1,1,4\n2,1,0\n2,2,16\n3,1,7\n3,2,0\n3,3,64\n"),
+    ],
+)
+def test_preset_custom_spells_an_explicit_seed(capsys, command, stdout):
+    assert run(capsys, command, "--seed", "4,0,7") == (0, stdout, "")
+    assert run(capsys, command, "--preset", "custom", "--seed", "4,0,7") == (0, stdout, "")
+
+
 def test_triangle_csv(capsys):
     code, out, _ = run(capsys, "triangle", "--preset", "ones", "--m", "1", "--N", "3")
     assert code == 0
@@ -184,11 +196,17 @@ def test_usage_errors(capsys):
         (["oracle", "--preset", "fib", "--N", "4", "--budget", "0"], "--budget must be at least 1"),
         (["verify", "--budget", "0"], "--budget must be at least 1"),
         (["verify", "--max", "0"], "--max must be at least 1"),
+        (["transform", "--seed", "1,2", "--N", "5"], "custom seed has 2 terms, 5 requested"),
+        (["oracle", "--preset", "ones", "--m", "1", "--N", "64", "--budget", "100000000000000000000"],
+         "--budget is capped at 1073741824"),
+        (["verify", "--suite", "chebyshev", "--max", "64", "--budget", "100000000000000000000"],
+         "--budget is capped at 1073741824"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert message in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
     # a custom seed longer than the order cap, with no --N, stops in the builders
     code, out, err = run(capsys, "triangle", "--seed", ",".join(["1"] * 65))
     assert (code, out) == (2, "")
@@ -286,7 +304,8 @@ def test_verify_reports_failures(capsys, monkeypatch):
 
 
 INTS = st.sampled_from([*range(-2, 7), 99999999999]).map(str)
-PRESETS = st.sampled_from([p.value for p in Preset])
+# "custom" is not a Preset, but --preset custom is the spelling that goes with --seed
+PRESETS = st.sampled_from([*(p.value for p in Preset), "custom"])
 SEEDS = st.lists(INTS, min_size=1, max_size=6).map(",".join)
 FORMATS = st.sampled_from(("csv", "json", "bfile"))
 # each subcommand's size flags are always passed, so no example runs at default bounds

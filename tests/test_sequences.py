@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from comptri import (
     ArithmeticFunction,
-    InsufficientSeedError,
     InvalidSeedError,
     OutputSizeError,
     Preset,
@@ -47,27 +46,10 @@ def test_preset_prefixes():
     assert make_seed("two_three", 4).values == (0, 1, 1, 0)
 
 
-def test_custom_seed_wraps_values():
-    f = make_seed("custom", 3, [4, 0, 7])
-    assert f.values == (4, 0, 7)
-    assert f(1) == 4 and f(3) == 7
-
-
-def test_custom_seed_requires_values():
-    with pytest.raises(InvalidSeedError):
+def test_custom_is_not_a_preset():
+    assert len(Preset) == 6
+    with pytest.raises(ValueError):
         make_seed("custom", 3)
-    with pytest.raises(InvalidSeedError):
-        make_seed("custom", 1, [])
-
-
-def test_custom_seed_too_short():
-    with pytest.raises(InsufficientSeedError):
-        make_seed("custom", 5, [1, 2])
-
-
-def test_explicit_values_need_custom_preset():
-    with pytest.raises(InvalidSeedError):
-        make_seed("ones", 3, [1, 2, 3])
 
 
 def test_negative_entries_rejected():
