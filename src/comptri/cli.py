@@ -214,14 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_seed_flags(p)
     p.add_argument("--m", action=_IntRange, floor=0, default=1, help="transform depth, 0 echoes the seed")
     p.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
-    p.set_defaults(handler=_cmd_transform)
+    p.set_defaults(handler=_cmd_transform, parser=p)
 
     p = sub.add_parser("triangle", help="print the depth-m triangle c(n,k)")
     add_seed_flags(p, ORDER_CAP)
     p.add_argument("--m", action=_IntRange, floor=1, default=1, help="triangle depth, at least 1")
     p.add_argument("--algo", choices=("recurrence", "conv", "bell", "pascal", "all"), default="recurrence")
     p.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
-    p.set_defaults(handler=_cmd_triangle)
+    p.set_defaults(handler=_cmd_triangle, parser=p)
 
     p = sub.add_parser("oracle", help="compare triangle entries against word counts")
     p.add_argument("--preset", choices=preset_names, required=True, help="built-in seed f_0")
@@ -229,23 +229,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", action=_IntRange, floor=1, default=1)
     p.add_argument("--budget", action=_IntRange, floor=1, cap=BUDGET_CAP, default=DEFAULT_BUDGET,
                    help="word-space bound")
-    p.set_defaults(handler=_cmd_oracle)
+    p.set_defaults(handler=_cmd_oracle, parser=p)
 
     p = sub.add_parser("verify", help="run the identity verification suites")
     p.add_argument("--suite", choices=sorted(verify.suites()), default=None, help="run one suite")
     p.add_argument("--max", action=_IntRange, floor=1, cap=ORDER_CAP, help="cap the suite's main sweep bound")
     p.add_argument("--budget", action=_IntRange, floor=1, cap=BUDGET_CAP, default=DEFAULT_BUDGET,
                    help="word-space bound")
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler=_cmd_verify, parser=p)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, parser)
+        return args.handler(args, args.parser)
     except (EnumerationBudgetError, OutputSizeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET

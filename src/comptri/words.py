@@ -5,14 +5,20 @@ enumerating every word of a given length over {0, ..., A-1} and testing a
 restriction predicate on each one, never by solving a recurrence.  Counts
 stay exact because they are plain tallies.
 
-Enumeration is vectorized with numpy in suffix blocks so the acceptance
-sweeps (tens of millions of words) finish quickly.  The last letters of a
-word, as many as fit in ``_CHUNK`` rows, form a block that is built once per
-space; each chunk is one prefix of the remaining letters written over every
-row of the block.  Mark counts split the same way: the block's counts are
-taken once, and a chunk adds its prefix's count.  Each word is still
-materialized and tested individually.  ``budget`` bounds A**length; larger
-spaces raise EnumerationBudgetError instead of running forever.
+Every restriction compares letters only with 0 and 1, so for the predicate
+a word of length L is two L-bit masks: letter p sets bit L-1-p of the zero
+mask if it is 0 and of the one mask if it is 1.  ``check`` is the readable
+spec; enumeration tests each word's masks with a few whole-array uint ops.
+
+The last letters of a word, as many as fit in ``_CHUNK`` rows, form a
+suffix block built once per space by outer products, each new leading
+letter against every row so far; a row holds the two masks and the count
+of the marked letter.  Each chunk is one prefix of the remaining letters:
+it ORs its masks into the block's and adds its mark count.  Prefixes run
+over the block one ``_TILE`` of rows at a time, which stays in cache.  Each
+word is still built from its own letters and tested on its own.
+``budget`` bounds A**length; larger spaces raise EnumerationBudgetError
+instead of running forever.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .sequences import Preset
 
 DEFAULT_BUDGET = 1 << 26
 _CHUNK = 1 << 20
+_TILE = 1 << 16
 
 Word = tuple[int, ...]
 
@@ -116,78 +123,69 @@ def _check_budget(alphabet: int, length: int, budget: int) -> None:
         )
 
 
-def _enumerate_chunks(
-    alphabet: int, length: int
-) -> Iterator[tuple[np.ndarray, tuple[int, ...], np.ndarray]]:
-    """Every word of the space, as chunks of digit rows (most significant first).
+def _prepend(rows, letters: np.ndarray, bit: int, marked_letter: int):
+    """Each letter at ``bit`` ahead of each row: the outer product of letters and rows."""
+    zeros, ones, marks = rows
+    return (
+        (((letters == 0).astype(zeros.dtype) << bit)[:, None] | zeros).ravel(),
+        (((letters == 1).astype(ones.dtype) << bit)[:, None] | ones).ravel(),
+        ((letters == marked_letter)[:, None] + marks).ravel(),
+    )
 
-    A chunk is one prefix followed by each row of a suffix block: the last
-    ``width`` letters, where ``width`` is the widest with alphabet**width <=
-    _CHUNK.  Yields ``(digits, prefix, suffix)``: ``digits`` is a buffer
-    reused by every chunk of the block, with the constant ``prefix`` in its
-    leading columns, and ``suffix`` is the view of its trailing columns,
-    the same object while the block lasts.  An alphabet above _CHUNK has
-    width 1, and its last letter's range is cut into blocks of _CHUNK rows.
-    Digits use the smallest unsigned dtype that holds every letter.
+
+def _rows(length: int, bits: range, alphabet: int, marked_letter: int):
+    """(zero mask, one mask, mark count) of every word on ``bits``, one row each.
+
+    The masks also hold bit ``length``, for the carry of the NO_ODD_ZERO_RUNS
+    test; past 63 bits they are Python ints, so they cannot wrap.
     """
-    dtype = np.min_scalar_type(alphabet - 1)
-    if length == 0:
-        empty = np.zeros((1, 0), dtype=dtype)
-        yield empty, (), empty
+    dtype = np.uint32 if length < 32 else np.uint64 if length < 64 else object
+    rows = np.zeros(1, dtype), np.zeros(1, dtype), np.zeros(1, np.min_scalar_type(length))
+    for bit in bits:
+        rows = _prepend(rows, np.arange(alphabet), bit, marked_letter)
+    return rows
+
+
+def _suffix_blocks(alphabet: int, length: int, width: int, marked_letter: int):
+    """The rows of the last ``width`` letters of every word, in blocks.
+
+    An alphabet above _CHUNK has width 1, and its letter range is cut into
+    blocks of _CHUNK rows.
+    """
+    below = _rows(length, range(width - 1), alphabet, marked_letter)
+    if width == 0:
+        yield below
         return
-    width = 1
-    while width < length and alphabet ** (width + 1) <= _CHUNK:
-        width += 1
-    head = length - width
-    # rows per letter of the block's first column, and letters of that column per block
-    rest = alphabet ** (width - 1)
-    step = _CHUNK // rest
+    step = _CHUNK // len(below[0])
     for lo in range(0, alphabet, step):
-        letters = np.arange(lo, min(lo + step, alphabet), dtype=dtype)
-        # column-major, so each position is one contiguous column
-        digits = np.empty((len(letters) * rest, length), dtype=dtype, order="F")
-        for pos in range(head, length):
-            cycle = letters if pos == head else np.arange(alphabet, dtype=dtype)
-            column = digits[:, pos].reshape(-1, len(cycle), alphabet ** (length - 1 - pos))
-            column[:] = cycle[:, None]
-        suffix = digits[:, head:]
-        for prefix in itertools.product(range(alphabet), repeat=head):
-            digits[:, :head] = prefix
-            yield digits, prefix, suffix
+        yield _prepend(below, np.arange(lo, min(lo + step, alphabet)), width - 1, marked_letter)
 
 
-def _pass_mask(digits: np.ndarray, restriction: Restriction) -> np.ndarray:
-    count, length = digits.shape
+def _passes(zeros: np.ndarray, ones: np.ndarray, length: int, restriction: Restriction):
+    """Which words pass, from their zero and one masks; a few uint ops per word."""
     if restriction is Restriction.NONE:
-        return np.ones(count, dtype=bool)
-    if length == 0:
-        keep = restriction is not Restriction.ZERO_FRAMED_BOUNDED
-        return np.full(count, keep, dtype=bool)
-    zeros = digits == 0
+        return np.ones(len(zeros), dtype=bool)
     if restriction is Restriction.ISOLATED_ZEROS:
-        return ~(zeros[:, :-1] & zeros[:, 1:]).any(axis=1)
+        return zeros & zeros >> 1 == 0
     if restriction is Restriction.AVOID_01:
-        return ~(zeros[:, :-1] & (digits[:, 1:] == 1)).any(axis=1)
-    if restriction is Restriction.ISOLATED_NONZEROS:
-        nonzeros = ~zeros
-        return ~(nonzeros[:, :-1] & nonzeros[:, 1:]).any(axis=1)
+        return zeros >> 1 & ones == 0
     if restriction is Restriction.NO_ODD_ZERO_RUNS:
-        # scan left to right tracking the parity of the current zero run
-        odd = np.zeros(count, dtype=bool)
-        bad = np.zeros(count, dtype=bool)
-        for pos in range(length):
-            col = zeros[:, pos]
-            bad |= odd & ~col
-            odd = np.where(col, ~odd, False)
-        bad |= odd
-        return ~bad
+        # adding a zero run's lowest bit carries to the bit just above the run,
+        # so the run is even iff that bit has the parity of its lowest bit
+        even = (4 ** (length // 2 + 1) - 1) // 3
+        lowest, above = zeros & ~(zeros << 1), ~zeros
+        bad = (zeros + (lowest & even)) & above & even << 1
+        bad |= (zeros + (lowest & even << 1)) & above & even
+        return bad == 0
+    nonzeros = zeros ^ (1 << length) - 1
+    if restriction is Restriction.ISOLATED_NONZEROS:
+        return nonzeros & nonzeros >> 1 == 0
     if restriction is Restriction.ZERO_FRAMED_BOUNDED:
-        ok = zeros[:, 0] & zeros[:, -1]
-        nonzeros = ~zeros
-        if length >= 2:
-            ok &= ~(nonzeros[:, :-1] & nonzeros[:, 1:]).any(axis=1)
-        if length >= 3:
-            ok &= ~(zeros[:, :-2] & zeros[:, 1:-1] & zeros[:, 2:]).any(axis=1)
+        # both end bits; with no letters, bit 0 lies outside the word
+        ends = 1 | (1 << length) >> 1
+        ok = zeros & ends == ends
+        ok &= nonzeros & nonzeros >> 1 == 0
+        ok &= zeros & zeros >> 1 & zeros >> 2 == 0
         return ok
     raise ValueError(f"unknown restriction {restriction!r}")
 
@@ -209,14 +207,20 @@ def mark_histogram(
         raise ValueError("marked letter must belong to the alphabet")
     _check_budget(alphabet, length, budget)
     hist = np.zeros(length + 1, dtype=np.int64)
-    block = None
-    for digits, prefix, suffix in _enumerate_chunks(alphabet, length):
-        if suffix is not block:
-            block = suffix
-            marks = np.count_nonzero(suffix == marked_letter, axis=1)
-        counts = np.bincount(marks[_pass_mask(digits, restriction)])
-        shift = prefix.count(marked_letter)
-        hist[shift : shift + len(counts)] += counts
+    # the suffix block holds the most letters with alphabet**width <= _CHUNK, at least one
+    width = min(length, 1)
+    while width < length and alphabet ** (width + 1) <= _CHUNK:
+        width += 1
+    # (zero mask, one mask, mark count) of each prefix, as Python ints
+    heads = _rows(length, range(width, length), alphabet, marked_letter)
+    prefixes = list(zip(*(r.tolist() for r in heads)))
+    for block in _suffix_blocks(alphabet, length, width, marked_letter):
+        # every prefix runs over one tile of the block while it is in cache
+        for lo in range(0, len(block[0]), _TILE):
+            zeros, ones, marks = (r[lo : lo + _TILE] for r in block)
+            for zero, one, shift in prefixes:
+                counts = np.bincount(marks[_passes(zeros | zero, ones | one, length, restriction)])
+                hist[shift : shift + len(counts)] += counts
     return tuple(int(v) for v in hist)
 
 

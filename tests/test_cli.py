@@ -235,6 +235,25 @@ def test_transform_past_the_size_bound_exits_3(capsys):
 
 
 @pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["transform", "--seed", "1,2", "--N", "3"], "custom seed has 2 terms, 3 requested"),
+        (["transform", "--seed=-1,2", "--N", "2"], "entries must be nonnegative integers, got -1"),
+        (["oracle", "--preset", "ge2", "--N", "2"], "--N must be at least 4 with --preset ge2"),
+    ],
+)
+def test_handler_errors_print_their_subcommand_usage(capsys, argv, message):
+    # as flag-range errors do: the usage and error lines name the subcommand
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: comptri {argv[0]} [-h]")
+    assert err.endswith(f"comptri {argv[0]}: error: {message}\n")
+
+
+@pytest.mark.parametrize(
     ("argv", "stdout"),
     [
         (("transform", "--preset", "ones", "--m", "99999999999", "--N", "1"), "1\n"),

@@ -2,7 +2,10 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from comptri import words
 from comptri import (
@@ -113,7 +116,7 @@ def test_histogram_across_many_chunks(monkeypatch, restriction):
 
 
 def test_alphabet_above_chunk_is_sliced(monkeypatch):
-    assert sum(1 for _ in words._enumerate_chunks(2**21, 1)) <= 2
+    assert sum(1 for _ in words._suffix_blocks(2**21, 1, 1, 0)) <= 2
     assert mark_histogram(2**21, 1, R.NONE, 0, budget=2**21) == (2**21 - 1, 1)
     # below the alphabet size, the chunk cuts the last letter's range into blocks
     monkeypatch.setattr(words, "_CHUNK", 3)
@@ -123,6 +126,82 @@ def test_alphabet_above_chunk_is_sliced(monkeypatch):
                 expected = scalar_histograms(alphabet, length, restriction)
                 for letter in range(alphabet):
                     assert mark_histogram(alphabet, length, restriction, letter) == expected[letter]
+
+
+def all_masks(alphabet, length):
+    """Zero and one masks of every word, in product order, with letter p at bit length-1-p."""
+    space = itertools.product(range(alphabet), repeat=length)
+    digits = np.array(list(space), dtype=np.int64).reshape(alphabet**length, length)
+    weights = 1 << np.arange(length - 1, -1, -1, dtype=np.int64)
+    return (digits == 0) @ weights, (digits == 1) @ weights
+
+
+def mask_keys(zeros, ones, ok, length):
+    """Each word's (zero mask, one mask, verdict) as one integer, sorted."""
+    return np.sort(((zeros.astype(np.int64) << length | ones.astype(np.int64)) << 1) | ok)
+
+
+@pytest.mark.parametrize("restriction", list(R))
+def test_every_word_mask_verdict_matches_check(monkeypatch, restriction):
+    # each row the enumeration tests is one word: its masks and verdict, over
+    # the whole space, are those of every word under the scalar predicate
+    passes, seen = words._passes, []
+
+    def spy(zeros, ones, length, restriction):
+        ok = passes(zeros, ones, length, restriction)
+        seen.append((zeros, ones, ok))
+        return ok
+
+    monkeypatch.setattr(words, "_passes", spy)
+    for alphabet in (1, 2, 3, 4):
+        for length in range(9):  # from the empty word
+            zeros, ones = all_masks(alphabet, length)
+            verdicts = [
+                check(word, restriction)
+                for word in itertools.product(range(alphabet), repeat=length)
+            ]
+            expected = mask_keys(zeros, ones, np.array(verdicts), length)
+            # a 3-row chunk cuts the letter range into blocks; its cost grows
+            # with the number of prefixes, so it stops at 4**6 words
+            for chunk in (16, 3) if length <= 6 else (16,):
+                monkeypatch.setattr(words, "_CHUNK", chunk)
+                seen.clear()
+                mark_histogram(alphabet, length, restriction, alphabet - 1)
+                got = [np.concatenate(rows) for rows in zip(*seen)]
+                assert np.array_equal(mask_keys(*got, length), expected)
+
+
+@example(word=(0,) * 31)
+@example(word=(1,) + (0,) * 30)
+@example(word=(0,) * 30 + (5,))
+@example(word=(0,) * 31 + (1,))
+@example(word=(0,) * 63)
+@example(word=(2,) + (0,) * 62)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda alphabet: st.lists(st.integers(0, alphabet - 1), max_size=31).map(tuple)
+    )
+)
+def test_single_word_masks_match_check(word):
+    # words of 31 letters reach bit 30 and the NO_ODD_ZERO_RUNS carry into bit
+    # 31 of a uint32; the 63-letter examples do the same in a uint64.  The
+    # row is built letter by letter, as the enumeration builds it.
+    rows = words._rows(len(word), range(0), 1, 0)
+    for bit, letter in enumerate(reversed(word)):
+        rows = words._prepend(rows, np.array([letter]), bit, 0)
+    zeros, ones, marks = rows
+    assert marks.tolist() == [word.count(0)]
+    for restriction in R:
+        assert words._passes(zeros, ones, len(word), restriction).tolist() == [check(word, restriction)]
+
+
+@pytest.mark.parametrize("restriction", list(R))
+@pytest.mark.parametrize("length", (0, 1, 31, 32, 63, 64, 100))
+def test_long_single_letter_word_is_exact(restriction, length):
+    # one word, 0**length: past 63 letters its masks are Python ints
+    expected = [0] * (length + 1)
+    expected[length] = int(check((0,) * length, restriction))
+    assert mark_histogram(1, length, restriction, 0) == tuple(expected)
 
 
 def test_histogram_consistency():
