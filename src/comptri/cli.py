@@ -133,20 +133,21 @@ def _cmd_transform(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 def _cmd_triangle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     seed, seed_repr, n = _resolve_seed(args, parser)
     if args.algo == "all":
-        triangles = {name: build(seed, args.m, n) for name, build in _BUILDERS.items()}
-        mismatches = []
-        for i in range(n):
-            for j in range(i + 1):
-                vals = {name: tri.rows[i][j] for name, tri in triangles.items()}
-                if len(set(vals.values())) > 1:
-                    mismatches.append((i + 1, j + 1, vals))
-        if mismatches:
+        triangles = {name: build(seed, args.m, n).rows for name, build in _BUILDERS.items()}
+        rows = triangles["recurrence"]
+        # whole triangles compare at once; entries are scanned only when one differs
+        if any(other != rows for other in triangles.values()):
+            mismatches = []
+            for i in range(n):
+                for j in range(i + 1):
+                    vals = {name: tri[i][j] for name, tri in triangles.items()}
+                    if len(set(vals.values())) > 1:
+                        mismatches.append((i + 1, j + 1, vals))
             for ni, ki, vals in mismatches[:20]:
                 detail = " ".join(f"{name}={v}" for name, v in vals.items())
                 sys.stderr.write(f"disagreement at n={ni} k={ki}: {detail}\n")
             sys.stderr.write(f"{len(mismatches)} disagreeing entries\n")
             return EXIT_FAIL
-        rows = triangles["recurrence"].rows
     else:
         rows = _BUILDERS[args.algo](seed, args.m, n).rows
     sys.stdout.write(_emit_triangle(seed_repr, args.m, n, rows, args.format))

@@ -26,12 +26,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import EnumerationBudgetError
 from .sequences import Preset
+
+# numpy is imported by the functions that enumerate words, on first use:
+# transform, triangle and the algebra suites never enumerate words, so they
+# start without it
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET = 1 << 26
 _CHUNK = 1 << 20
@@ -116,11 +120,11 @@ class WordModel:
 
 
 def _check_budget(alphabet: int, length: int, budget: int) -> None:
-    space = alphabet**length
-    if space > budget:
-        raise EnumerationBudgetError(
-            f"{alphabet}**{length} = {space} words exceeds the budget {budget}"
-        )
+    # alphabet**length >= 2**((bits - 1) * length), which exceeds the budget
+    # from its bit length on, so a large space is refused before its power is
+    # formed; the message never expands it
+    if (alphabet.bit_length() - 1) * length >= budget.bit_length() or alphabet**length > budget:
+        raise EnumerationBudgetError(f"{alphabet}**{length} words exceeds the budget {budget}")
 
 
 def _prepend(rows, letters: np.ndarray, bit: int, marked_letter: int):
@@ -139,6 +143,8 @@ def _rows(length: int, bits: range, alphabet: int, marked_letter: int):
     The masks also hold bit ``length``, for the carry of the NO_ODD_ZERO_RUNS
     test; past 63 bits they are Python ints, so they cannot wrap.
     """
+    import numpy as np
+
     dtype = np.uint32 if length < 32 else np.uint64 if length < 64 else object
     rows = np.zeros(1, dtype), np.zeros(1, dtype), np.zeros(1, np.min_scalar_type(length))
     for bit in bits:
@@ -152,6 +158,8 @@ def _suffix_blocks(alphabet: int, length: int, width: int, marked_letter: int):
     An alphabet above _CHUNK has width 1, and its letter range is cut into
     blocks of _CHUNK rows.
     """
+    import numpy as np
+
     below = _rows(length, range(width - 1), alphabet, marked_letter)
     if width == 0:
         yield below
@@ -163,6 +171,8 @@ def _suffix_blocks(alphabet: int, length: int, width: int, marked_letter: int):
 
 def _passes(zeros: np.ndarray, ones: np.ndarray, length: int, restriction: Restriction):
     """Which words pass, from their zero and one masks; a few uint ops per word."""
+    import numpy as np
+
     if restriction is Restriction.NONE:
         return np.ones(len(zeros), dtype=bool)
     if restriction is Restriction.ISOLATED_ZEROS:
@@ -206,6 +216,8 @@ def mark_histogram(
     if not 0 <= marked_letter < alphabet:
         raise ValueError("marked letter must belong to the alphabet")
     _check_budget(alphabet, length, budget)
+    import numpy as np
+
     hist = np.zeros(length + 1, dtype=np.int64)
     # the suffix block holds the most letters with alphabet**width <= _CHUNK, at least one
     width = min(length, 1)

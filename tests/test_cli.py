@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import comptri
-from comptri import Preset, verify
+from comptri import LowerTriangularMatrix, Preset, cli, triangle_bell, verify
 from comptri.cli import main
 
 SRC = str(Path(comptri.__file__).resolve().parents[1])
@@ -106,6 +106,39 @@ def test_triangle_all_algorithms_agree(capsys):
     code_one, out_one, _ = run(capsys, "triangle", "--preset", "odd", "--m", "3", "--N", "10")
     assert code_all == 0 and err == ""
     assert out_all == out_one
+
+
+def bell_plus_one(entries):
+    """triangle_bell with 1 added to each (n, k) in ``entries``."""
+
+    def build(seed, m, n):
+        rows = [list(row) for row in triangle_bell(seed, m, n).rows]
+        for i, j in entries:
+            rows[i - 1][j - 1] += 1
+        return LowerTriangularMatrix(tuple(map(tuple, rows)))
+
+    return build
+
+
+def test_triangle_disagreement_is_reported(capsys, monkeypatch):
+    monkeypatch.setitem(cli._BUILDERS, "bell", bell_plus_one([(3, 2)]))
+    assert run(capsys, "triangle", "--preset", "ones", "--m", "2", "--N", "4", "--algo", "all") == (
+        1,
+        "",
+        "disagreement at n=3 k=2: recurrence=4 conv=4 bell=5 pascal=4\n"
+        "1 disagreeing entries\n",
+    )
+
+
+def test_triangle_disagreement_lists_the_first_twenty(capsys, monkeypatch):
+    every = [(i, j) for i in range(1, 8) for j in range(1, i + 1)]
+    monkeypatch.setitem(cli._BUILDERS, "bell", bell_plus_one(every))
+    code, out, err = run(capsys, "triangle", "--preset", "ones", "--m", "2", "--N", "7", "--algo", "all")
+    lines = err.splitlines()
+    assert (code, out, len(lines)) == (1, "", 21)
+    assert lines[0] == "disagreement at n=1 k=1: recurrence=1 conv=1 bell=2 pascal=1"
+    assert lines[19].startswith("disagreement at n=6 k=5: ")
+    assert lines[20] == "28 disagreeing entries"
 
 
 def test_triangle_custom_seed(capsys):
@@ -272,6 +305,36 @@ def test_huge_depth_returns_at_once(argv, stdout):
         env=env, capture_output=True, text=True, timeout=10,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+
+
+STARTUP_CHECK = """
+import contextlib, io, json, sys
+import comptri
+from comptri import cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    report.append([code, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_only_word_enumeration_imports_numpy():
+    # a fresh interpreter, so nothing this test session imported counts
+    argvs = [
+        ["transform", "--preset", "fib", "--N", "12"],
+        ["triangle", "--preset", "natural", "--N", "12", "--m", "2", "--algo", "all"],
+        ["verify", "--suite", "bell"],
+        ["oracle", "--preset", "fib", "--N", "6"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_CHECK, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [[0, False], [0, False], [0, False], [0, True]]
 
 
 def test_verify_single_suite(capsys):

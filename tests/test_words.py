@@ -1,6 +1,7 @@
 """Restriction predicates, exhaustive counting, and the composition bijection."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -219,6 +220,13 @@ def test_budget_guard():
     with pytest.raises(EnumerationBudgetError):
         count_words(WordModel(3, 4, R.NONE), budget=80)
     assert count_words(WordModel(3, 4, R.NONE), budget=81) == 81
+    # spaces far past the budget are refused before their size is formed or printed
+    with pytest.raises(EnumerationBudgetError, match=r"^2\*\*20000 words exceeds"):
+        mark_histogram(2, 20000, R.NONE, 0)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBudgetError):
+        count_words(WordModel(3, 3_000_000))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_model_validation():
