@@ -8,7 +8,9 @@ stay exact because they are plain tallies.
 Every restriction compares letters only with 0 and 1, so for the predicate
 a word of length L is two L-bit masks: letter p sets bit L-1-p of the zero
 mask if it is 0 and of the one mask if it is 1.  ``check`` is the readable
-spec; enumeration tests each word's masks with a few whole-array uint ops.
+spec; enumeration tests each word's masks with a few whole-array uint ops,
+on the narrowest unsigned type that holds bit L (the NO_ODD_ZERO_RUNS
+carry), so short words move few bytes.
 
 The last letters of a word, as many as fit in ``_CHUNK`` rows, form a
 suffix block built once per space by outer products, each new leading
@@ -141,11 +143,13 @@ def _rows(length: int, bits: range, alphabet: int, marked_letter: int):
     """(zero mask, one mask, mark count) of every word on ``bits``, one row each.
 
     The masks also hold bit ``length``, for the carry of the NO_ODD_ZERO_RUNS
-    test; past 63 bits they are Python ints, so they cannot wrap.
+    test, in the narrowest unsigned type that holds it: uint8 below 8 letters,
+    uint16 below 16, uint32 below 32 and uint64 below 64.  Past 63 bits they
+    are Python ints, so they cannot wrap.
     """
     import numpy as np
 
-    dtype = np.uint32 if length < 32 else np.uint64 if length < 64 else object
+    dtype = np.min_scalar_type(1 << length)
     rows = np.zeros(1, dtype), np.zeros(1, dtype), np.zeros(1, np.min_scalar_type(length))
     for bit in bits:
         rows = _prepend(rows, np.arange(alphabet), bit, marked_letter)
@@ -213,6 +217,8 @@ def mark_histogram(
     occurs exactly j times; there are length + 1 entries.  One enumeration
     of the whole space serves every j at once.
     """
+    if length < 0:
+        raise ValueError("length must be >= 0")
     if not 0 <= marked_letter < alphabet:
         raise ValueError("marked letter must belong to the alphabet")
     _check_budget(alphabet, length, budget)

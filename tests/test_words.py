@@ -172,6 +172,14 @@ def test_every_word_mask_verdict_matches_check(monkeypatch, restriction):
                 assert np.array_equal(mask_keys(*got, length), expected)
 
 
+@example(word=(0,) * 7)
+@example(word=(1,) + (0,) * 6)
+@example(word=(0,) * 8)
+@example(word=(2,) + (0,) * 7)
+@example(word=(0,) * 15)
+@example(word=(1,) + (0,) * 14)
+@example(word=(0,) * 16)
+@example(word=(0,) * 15 + (1,))
 @example(word=(0,) * 31)
 @example(word=(1,) + (0,) * 30)
 @example(word=(0,) * 30 + (5,))
@@ -184,8 +192,10 @@ def test_every_word_mask_verdict_matches_check(monkeypatch, restriction):
     )
 )
 def test_single_word_masks_match_check(word):
-    # words of 31 letters reach bit 30 and the NO_ODD_ZERO_RUNS carry into bit
-    # 31 of a uint32; the 63-letter examples do the same in a uint64.  The
+    # the masks take the narrowest unsigned type that holds bit len(word), where
+    # the NO_ODD_ZERO_RUNS carry of a leading zero run lands.  The examples sit
+    # on both sides of each type edge (7/8, 15/16, 31/32 and 63 letters) and
+    # set the top letter bit, so a type one bit too narrow fails them.  The
     # row is built letter by letter, as the enumeration builds it.
     rows = words._rows(len(word), range(0), 1, 0)
     for bit, letter in enumerate(reversed(word)):
@@ -240,6 +250,8 @@ def test_model_validation():
         WordModel(2, 3, R.NONE, None, 1)
     with pytest.raises(ValueError):
         WordModel(2, 3, R.NONE, 1, -1)
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        mark_histogram(2, -1, R.NONE, 0)
 
 
 def all_compositions(n):
@@ -346,3 +358,10 @@ def test_oracle_rows_match_engine(preset, m):
         engine = tuple(tri.entry(n, k) for k in range(1, n + 1))
         assert oracle_row(preset, m, n) == engine
 
+
+@pytest.mark.parametrize("preset", ("fib", "odd", "two_three"))
+@pytest.mark.parametrize("n", (16, 17, 18))
+def test_long_binary_oracle_rows_match_engine(preset, n):
+    # binary words of 15 to 17 letters: masks of 16 letters or more are uint32
+    tri = triangle_recurrence(make_seed(preset, n), 1, n)
+    assert oracle_row(preset, 1, n) == tuple(tri.entry(n, k) for k in range(1, n + 1))
