@@ -184,9 +184,16 @@ def _cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     suites = verify.suites(args.max, args.budget)
+    names = [args.suite] if args.suite else list(suites)
+    for name in names:
+        least = verify.LEAST_CAP.get(name, 1)
+        if args.max is not None and args.max < least:
+            parser.error(
+                f"--max must be at least {least}: the {name} suite compares nothing below it"
+            )
     total_checks = 0
     total_fails = 0
-    for name in [args.suite] if args.suite else suites:
+    for name in names:
         result = suites[name]()
         total_checks += result.checks
         total_fails += len(result.failures)

@@ -218,6 +218,11 @@ def word_binomial(total: int, budget: int = DEFAULT_BUDGET):
             yield check_word_binomial(n, k, words) or f"word-count identity fails at n={n} k={k}"
 
 
+# the least cap at which a suite makes a comparison, where that is above 1:
+# chebyshev and word-binomial sweep n + k <= total with n, k >= 1
+LEAST_CAP = {"chebyshev": 2, "word-binomial": 2}
+
+
 def suites(cap: int | None = None, budget: int = DEFAULT_BUDGET) -> dict[str, Callable[[], Sweep]]:
     """The ``comptri verify`` suites in run order, each ready to run.
 

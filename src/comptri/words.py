@@ -13,12 +13,19 @@ on the narrowest unsigned type that holds bit L (the NO_ODD_ZERO_RUNS
 carry), so short words move few bytes.
 
 The last letters of a word, as many as fit in ``_CHUNK`` rows, form a
-suffix block built once per space by outer products, each new leading
-letter against every row so far; a row holds the two masks and the count
-of the marked letter.  Each chunk is one prefix of the remaining letters:
-it ORs its masks into the block's and adds its mark count.  Prefixes run
-over the block one ``_TILE`` of rows at a time, which stays in cache.  Each
-word is still built from its own letters and tested on its own.
+suffix block built once per space.  The letters below its leading one are
+grown letter by letter with the rows grouped by mark count: group j, the
+words with j marked letters, is one run of rows, and a list of group
+offsets says where each run starts.  A new letter other than the marked one
+keeps a row in its group; the marked letter moves it up one.  The leading
+letter is an axis of its own, the marked letter last, so no row carries a
+mark count.  Each chunk is one prefix of the remaining letters with its own
+mark count: it ORs its masks into the block's, and the passing words of
+each group are counted with ``count_nonzero``, once under the other leading
+letters and once under the marked one, into the histogram entries of their
+mark counts plus the prefix's.  Prefixes run over the block one ``_TILE`` of
+rows at a time, which stays in cache.  Each word is still built from its
+own letters and tested on its own.
 ``budget`` bounds A**length; larger spaces raise EnumerationBudgetError
 instead of running forever.
 """
@@ -129,48 +136,77 @@ def _check_budget(alphabet: int, length: int, budget: int) -> None:
         raise EnumerationBudgetError(f"{alphabet}**{length} words exceeds the budget {budget}")
 
 
-def _prepend(rows, letters: np.ndarray, bit: int, marked_letter: int):
-    """Each letter at ``bit`` ahead of each row: the outer product of letters and rows."""
-    zeros, ones, marks = rows
-    return (
-        (((letters == 0).astype(zeros.dtype) << bit)[:, None] | zeros).ravel(),
-        (((letters == 1).astype(ones.dtype) << bit)[:, None] | ones).ravel(),
-        ((letters == marked_letter)[:, None] + marks).ravel(),
-    )
+def _lead(lo: int, hi: int, marked_letter: int, dtype):
+    """The zero bit and one bit of each letter in lo..hi-1, one column per letter.
 
-
-def _rows(length: int, bits: range, alphabet: int, marked_letter: int):
-    """(zero mask, one mask, mark count) of every word on ``bits``, one row each.
-
-    The masks also hold bit ``length``, for the carry of the NO_ODD_ZERO_RUNS
-    test, in the narrowest unsigned type that holds it: uint8 below 8 letters,
-    uint16 below 16, uint32 below 32 and uint64 below 64.  Past 63 bits they
-    are Python ints, so they cannot wrap.
+    The letters other than the marked one keep their order and the marked
+    letter, if it is among them, takes the last column; the second item says
+    whether it is.
     """
     import numpy as np
 
-    dtype = np.min_scalar_type(1 << length)
-    rows = np.zeros(1, dtype), np.zeros(1, dtype), np.zeros(1, np.min_scalar_type(length))
+    has_marked = lo <= marked_letter < hi
+    bits = np.zeros((2, hi - lo), dtype)
+    for row, letter in enumerate((0, 1)):
+        if lo <= letter < hi:
+            # a letter past the marked one moves back one column
+            column = letter - lo - (has_marked and marked_letter < letter)
+            bits[row, -1 if letter == marked_letter else column] = 1
+    return bits, has_marked
+
+
+def _add_letters(rows, lead, bit: int):
+    """Each letter of ``lead`` at ``bit`` ahead of each row, the rows grouped by mark count.
+
+    ``rows`` is (masks, offsets): ``masks`` stacks the zero masks over the one
+    masks, and group j, the rows with j marked letters, is
+    ``masks[:, offsets[j] : offsets[j + 1]]``.  Old group j under every
+    letter fills one run of rows, the marked letter last, so the other
+    letters keep those rows in group j and the marked letter moves them to
+    the head of group j + 1.
+    """
+    import numpy as np
+
+    (masks, offsets), (bits, has_marked) = rows, lead
+    n = bits.shape[1]
+    # every letter ahead of every row, then each old group's rows in one run
+    full = bits[:, :, None] << bit | masks[:, None, :]
+    out = np.empty((2, n * masks.shape[1]), masks.dtype)
+    for a, b in zip(offsets, offsets[1:]):
+        out[:, n * a : n * b].reshape(2, n, b - a)[...] = full[..., a:b]
+    stay, up = n - has_marked, int(has_marked)
+    return out, [0] + [stay * b + up * a for a, b in zip(offsets, offsets[1:])] + [n * offsets[-1]]
+
+
+def _grouped_rows(bits: range, alphabet: int, marked_letter: int, dtype):
+    """The masks and group offsets of every word on ``bits``, grown letter by letter."""
+    import numpy as np
+
+    rows = np.zeros((2, 1), dtype), [0, 1]
+    # with no letters to add the alphabet may be any size, so it gets no table
+    lead = _lead(0, alphabet, marked_letter, dtype) if bits else None
     for bit in bits:
-        rows = _prepend(rows, np.arange(alphabet), bit, marked_letter)
+        rows = _add_letters(rows, lead, bit)
     return rows
 
 
-def _suffix_blocks(alphabet: int, length: int, width: int, marked_letter: int):
+def _suffix_blocks(alphabet: int, width: int, marked_letter: int, dtype):
     """The rows of the last ``width`` letters of every word, in blocks.
 
-    An alphabet above _CHUNK has width 1, and its letter range is cut into
-    blocks of _CHUNK rows.
+    A block is (masks, offsets, has_marked).  ``masks`` has shape (2, n, N):
+    the zero and one masks of n leading letters, the marked letter last if
+    ``has_marked``, ahead of the N words of the letters below, which
+    ``offsets`` groups by mark count.  An alphabet above _CHUNK has width 1,
+    and its letter range is cut into blocks of _CHUNK rows.
     """
-    import numpy as np
-
-    below = _rows(length, range(width - 1), alphabet, marked_letter)
+    below, offsets = _grouped_rows(range(width - 1), alphabet, marked_letter, dtype)
     if width == 0:
-        yield below
+        yield below[:, None, :], offsets, False
         return
-    step = _CHUNK // len(below[0])
+    step = _CHUNK // below.shape[1]
     for lo in range(0, alphabet, step):
-        yield _prepend(below, np.arange(lo, min(lo + step, alphabet)), width - 1, marked_letter)
+        bits, has_marked = _lead(lo, min(lo + step, alphabet), marked_letter, dtype)
+        yield bits[:, :, None] << width - 1 | below[:, None, :], offsets, has_marked
 
 
 def _passes(zeros: np.ndarray, ones: np.ndarray, length: int, restriction: Restriction):
@@ -224,22 +260,40 @@ def mark_histogram(
     _check_budget(alphabet, length, budget)
     import numpy as np
 
-    hist = np.zeros(length + 1, dtype=np.int64)
+    hist = [0] * (length + 1)
     # the suffix block holds the most letters with alphabet**width <= _CHUNK, at least one
     width = min(length, 1)
     while width < length and alphabet ** (width + 1) <= _CHUNK:
         width += 1
+    # the masks also hold bit length, for the carry of the NO_ODD_ZERO_RUNS
+    # test, in the narrowest unsigned type that holds it: uint8 below 8
+    # letters, uint16 below 16, uint32 below 32 and uint64 below 64.  Past 63
+    # bits they are Python ints, so they cannot wrap.
+    dtype = np.min_scalar_type(1 << length)
     # (zero mask, one mask, mark count) of each prefix, as Python ints
-    heads = _rows(length, range(width, length), alphabet, marked_letter)
-    prefixes = list(zip(*(r.tolist() for r in heads)))
-    for block in _suffix_blocks(alphabet, length, width, marked_letter):
-        # every prefix runs over one tile of the block while it is in cache
-        for lo in range(0, len(block[0]), _TILE):
-            zeros, ones, marks = (r[lo : lo + _TILE] for r in block)
+    heads, offsets = _grouped_rows(range(width, length), alphabet, marked_letter, dtype)
+    zeros, ones = heads.tolist()
+    prefixes = [
+        (zeros[i], ones[i], j) for j in range(len(offsets) - 1) for i in range(offsets[j], offsets[j + 1])
+    ]
+    for masks, offsets, has_marked in _suffix_blocks(alphabet, width, marked_letter, dtype):
+        stay = masks.shape[1] - has_marked
+        # every prefix runs over one tile of the block while it is in cache: a
+        # span of the rows below under every leading letter
+        span = max(1, _TILE // masks.shape[1])
+        for lo in range(0, masks.shape[2], span):
+            zeros, ones = masks[:, :, lo : lo + span]
+            # each group's rows within the span
+            ends = [min(max(end - lo, 0), span) for end in offsets]
+            groups = [(j, a, b) for j, (a, b) in enumerate(zip(ends, ends[1:])) if a < b]
             for zero, one, shift in prefixes:
-                counts = np.bincount(marks[_passes(zeros | zero, ones | one, length, restriction)])
-                hist[shift : shift + len(counts)] += counts
-    return tuple(int(v) for v in hist)
+                ok = _passes((zeros | zero).ravel(), (ones | one).ravel(), length, restriction)
+                ok = ok.reshape(zeros.shape)
+                for j, a, b in groups:
+                    hist[j + shift] += int(np.count_nonzero(ok[:stay, a:b]))
+                    if has_marked:
+                        hist[j + shift + 1] += int(np.count_nonzero(ok[stay, a:b]))
+    return tuple(hist)
 
 
 def count_words(model: WordModel, budget: int = DEFAULT_BUDGET) -> int:

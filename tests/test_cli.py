@@ -375,6 +375,33 @@ def test_verify_all_suites_small(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max", "1"],
+        ["verify", "--suite", "chebyshev", "--max", "1"],
+        ["verify", "--suite", "word-binomial", "--max", "1"],
+    ],
+)
+def test_verify_refuses_a_cap_that_compares_nothing(capsys, argv):
+    # chebyshev and word-binomial compare nothing below --max 2, so a PASS
+    # there would count no check of theirs
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--max must be at least 2: the " in err
+
+
+def test_least_caps_match_the_sweeps():
+    for name in verify.suites():
+        least = verify.LEAST_CAP.get(name, 1)
+        assert verify.suites(least)[name]().checks > 0
+        if least > 1:
+            assert verify.suites(least - 1)[name]().checks == 0
+
+
 def test_verify_reports_failures(capsys, monkeypatch):
     monkeypatch.setattr(verify, "check_chebyshev", lambda n, k, budget: n != 2)
     assert run(capsys, "verify", "--suite", "chebyshev", "--max", "6") == (

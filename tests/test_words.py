@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from comptri import words
@@ -116,8 +116,20 @@ def test_histogram_across_many_chunks(monkeypatch, restriction):
                 assert mark_histogram(alphabet, length, restriction, letter) == expected[letter]
 
 
+def test_histogram_across_many_tiles(monkeypatch):
+    # a tile below the number of leading letters holds one row below them
+    monkeypatch.setattr(words, "_CHUNK", 16)
+    monkeypatch.setattr(words, "_TILE", 1)
+    for restriction in (R.ISOLATED_ZEROS, R.NO_ODD_ZERO_RUNS, R.ZERO_FRAMED_BOUNDED):
+        for alphabet in (2, 3, 4):
+            for length in range(6):
+                expected = scalar_histograms(alphabet, length, restriction)
+                for letter in range(alphabet):
+                    assert mark_histogram(alphabet, length, restriction, letter) == expected[letter]
+
+
 def test_alphabet_above_chunk_is_sliced(monkeypatch):
-    assert sum(1 for _ in words._suffix_blocks(2**21, 1, 1, 0)) <= 2
+    assert sum(1 for _ in words._suffix_blocks(2**21, 1, 0, np.uint8)) <= 2
     assert mark_histogram(2**21, 1, R.NONE, 0, budget=2**21) == (2**21 - 1, 1)
     # below the alphabet size, the chunk cuts the last letter's range into blocks
     monkeypatch.setattr(words, "_CHUNK", 3)
@@ -129,10 +141,15 @@ def test_alphabet_above_chunk_is_sliced(monkeypatch):
                     assert mark_histogram(alphabet, length, restriction, letter) == expected[letter]
 
 
+def all_words(alphabet, length):
+    """Every word, in product order, one row of letters each."""
+    space = itertools.product(range(alphabet), repeat=length)
+    return np.array(list(space), dtype=np.int64).reshape(alphabet**length, length)
+
+
 def all_masks(alphabet, length):
     """Zero and one masks of every word, in product order, with letter p at bit length-1-p."""
-    space = itertools.product(range(alphabet), repeat=length)
-    digits = np.array(list(space), dtype=np.int64).reshape(alphabet**length, length)
+    digits = all_words(alphabet, length)
     weights = 1 << np.arange(length - 1, -1, -1, dtype=np.int64)
     return (digits == 0) @ weights, (digits == 1) @ weights
 
@@ -172,6 +189,24 @@ def test_every_word_mask_verdict_matches_check(monkeypatch, restriction):
                 assert np.array_equal(mask_keys(*got, length), expected)
 
 
+@pytest.mark.parametrize("alphabet", (1, 2, 3, 4))
+def test_grouped_rows_hold_every_word_once(alphabet):
+    # group j of the builder's rows holds each word with j marked letters
+    # exactly once: its sorted (zero mask, one mask) pairs are those words'
+    for width in range(9):
+        zeros, ones = all_masks(alphabet, width)
+        pairs = zeros << width | ones
+        digits = all_words(alphabet, width)
+        dtype = np.min_scalar_type(1 << width)
+        for marked in range(alphabet):
+            marks = (digits == marked).sum(axis=1)
+            masks, offsets = words._grouped_rows(range(width), alphabet, marked, dtype)
+            assert len(offsets) == width + 2 and offsets[-1] == alphabet**width
+            for j in range(width + 1):
+                group = masks[:, offsets[j] : offsets[j + 1]].astype(np.int64)
+                assert np.array_equal(np.sort(group[0] << width | group[1]), np.sort(pairs[marks == j]))
+
+
 @example(word=(0,) * 7)
 @example(word=(1,) + (0,) * 6)
 @example(word=(0,) * 8)
@@ -186,6 +221,7 @@ def test_every_word_mask_verdict_matches_check(monkeypatch, restriction):
 @example(word=(0,) * 31 + (1,))
 @example(word=(0,) * 63)
 @example(word=(2,) + (0,) * 62)
+@settings(derandomize=True, deadline=None)
 @given(
     st.integers(1, 6).flatmap(
         lambda alphabet: st.lists(st.integers(0, alphabet - 1), max_size=31).map(tuple)
@@ -196,12 +232,15 @@ def test_single_word_masks_match_check(word):
     # the NO_ODD_ZERO_RUNS carry of a leading zero run lands.  The examples sit
     # on both sides of each type edge (7/8, 15/16, 31/32 and 63 letters) and
     # set the top letter bit, so a type one bit too narrow fails them.  The
-    # row is built letter by letter, as the enumeration builds it.
-    rows = words._rows(len(word), range(0), 1, 0)
+    # row is built letter by letter by the grouped builder, as the enumeration
+    # builds it, and lands in the group of its count of the marked letter 0.
+    dtype = np.min_scalar_type(1 << len(word))
+    rows = words._grouped_rows(range(0), 1, 0, dtype)
     for bit, letter in enumerate(reversed(word)):
-        rows = words._prepend(rows, np.array([letter]), bit, 0)
-    zeros, ones, marks = rows
-    assert marks.tolist() == [word.count(0)]
+        rows = words._add_letters(rows, words._lead(letter, letter + 1, 0, dtype), bit)
+    (zeros, ones), offsets = rows
+    marks = word.count(0)
+    assert offsets == [0] * (marks + 1) + [1] * (len(word) - marks + 1)
     for restriction in R:
         assert words._passes(zeros, ones, len(word), restriction).tolist() == [check(word, restriction)]
 
