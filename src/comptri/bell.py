@@ -16,6 +16,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import InternalConsistencyError
+from .pascal import LowerTriangularMatrix, mat_mul, pascal_lower
 from .sequences import ArithmeticFunction, invert_transform
 
 
@@ -74,19 +75,19 @@ def bell_invert_identity_check(x: Sequence[int], n_max: int) -> bool:
         k! B_{n,k}(1! y_1, 2! y_2, ...)
             = sum_{i=k}^{n} C(i-1, k-1) i! B_{n,i}(1! x_1, 2! x_2, ...).
 
-    Returns True iff every pair (n, k) in range satisfies it.
+    or Y = X L for the Pascal matrix L, with X(n, i) = i! B_{n,i}(1! x_1, ...)
+    and Y(n, k) = k! B_{n,k}(1! y_1, ...).  Returns True iff every pair (n, k)
+    in range satisfies it.
     """
     f = ArithmeticFunction(tuple(x[:n_max]))
-    y = invert_transform(f)
     fact = [1]
     for i in range(1, n_max + 1):
         fact.append(fact[-1] * i)
-    bx = bell_table([fact[i] * f(i) for i in range(1, n_max + 1)], n_max)
-    by = bell_table([fact[i] * y(i) for i in range(1, n_max + 1)], n_max)
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            lhs = fact[k] * by[n][k]
-            rhs = sum(comb(i - 1, k - 1) * fact[i] * bx[n][i] for i in range(k, n + 1))
-            if lhs != rhs:
-                return False
-    return True
+
+    def scaled(v: ArithmeticFunction) -> LowerTriangularMatrix:
+        table = bell_table([fact[i] * v(i) for i in range(1, n_max + 1)], n_max)
+        return LowerTriangularMatrix(
+            tuple(tuple(fact[k] * table[n][k] for k in range(1, n + 1)) for n in range(1, n_max + 1))
+        )
+
+    return mat_mul(scaled(f), pascal_lower(n_max)).rows == scaled(invert_transform(f)).rows

@@ -113,13 +113,7 @@ def _emit_triangle(seed_repr, m: int, n: int, rows, fmt: str) -> str:
             for j, v in enumerate(row, start=1):
                 lines.append(f"{i},{j},{v}")
         return "\n".join(lines) + "\n"
-    out = []
-    idx = 1
-    for row in rows:
-        for v in row:
-            out.append(f"{idx} {v}\n")
-            idx += 1
-    return "".join(out)
+    return _emit_sequence(seed_repr, m, n, [v for row in rows for v in row], fmt)
 
 
 def _cmd_transform(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

@@ -49,10 +49,15 @@ def identity(order: int) -> LowerTriangularMatrix:
     )
 
 
-def pascal_lower(order: int) -> LowerTriangularMatrix:
-    """The Pascal matrix: entry (i, j) = C(i-1, j-1)."""
+def pascal_lower(order: int, power: int = 1) -> LowerTriangularMatrix:
+    """L**power for the Pascal matrix L, from its closed form: entry (i, j) is
+    power^(i-j) C(i-1, j-1).  The default gives L itself, C(i-1, j-1), and
+    power 0 the identity."""
     return LowerTriangularMatrix(
-        tuple(tuple(comb(i - 1, j - 1) for j in range(1, i + 1)) for i in range(1, order + 1))
+        tuple(
+            tuple(power ** (i - j) * comb(i - 1, j - 1) for j in range(1, i + 1))
+            for i in range(1, order + 1)
+        )
     )
 
 

@@ -20,23 +20,26 @@ work.  Four algorithms compute the same triangle:
         c(n, k) = [x^n] (sum_i w(i) x^i)^k;
   * triangle_bell: partial Bell polynomials at factorial-scaled arguments,
         c(n, k) = (k! / n!) B_{n,k}(1! w(1), 2! w(2), ...);
-  * triangle_pascal: binomially weighted depth-1 entries,
-        c(n, k) = sum_{i=k}^{n} (m-1)^(i-k) C(i-1, k-1) c_1(n, i).
+  * triangle_pascal: the depth-1 triangle times a Pascal-matrix power,
+    c_m = c_1 L^(m-1), that is
+        c(n, k) = sum_{i=k}^{n} (m-1)^(i-k) C(i-1, k-1) c_1(n, i),
+    with L^(m-1) from pascal.pascal_lower and the product from
+    pascal.mat_mul, which no other route calls.
 
-They share only the seed and the invert transform, so agreement across all
-four is a strong consistency check; at m = 1 triangle_pascal is the
-recurrence itself, so only three are independent.  The recurrence also
+All four read the same seed.  The recurrence, convolution and Bell routes
+each apply the invert transform; triangle_pascal never does, but takes its
+depth-1 base c_1 from triangle_recurrence at every m, and at m = 1 returns
+that base, so there only three routes are independent.  Agreement across
+the routes is still a strong consistency check.  The recurrence also
 needs c(0, 0) = 1 and c(n, 0) = 0 for n >= 1; those conventions live only
 in _rows_from_weights, which keeps column 0 while it fills the rows.
 """
 
 from __future__ import annotations
 
-from math import comb
-
 from .bell import bell_table
 from .errors import InsufficientSeedError, InternalConsistencyError
-from .pascal import LowerTriangularMatrix
+from .pascal import LowerTriangularMatrix, mat_mul, pascal_lower
 from .sequences import ArithmeticFunction, check_output_size, iterate_invert
 
 ORDER_CAP = 64
@@ -134,28 +137,14 @@ def triangle_bell(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangular
 
 
 def triangle_pascal(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangularMatrix:
-    """Build the depth-m triangle from the depth-1 triangle and binomials.
+    """Build the depth-m triangle as c_1 L^(m-1), from the depth-1 triangle.
 
-    At m = 1 the weights are the identity, so it returns triangle_recurrence's
+    At m = 1 the Pascal power is the identity, so it returns triangle_recurrence's
     triangle at half the cost; it is not an independent route there."""
     if m == 1:
         return triangle_recurrence(f0, 1, order)
     base = triangle_recurrence(_prefix(f0, m, order), 1, order)
-    # weight[i - 1][k - 1] = (m-1)^(i-k) C(i-1, k-1), the same for every row
-    weight = [
-        [(m - 1) ** (i - k) * comb(i - 1, k - 1) for k in range(1, i + 1)]
-        for i in range(1, order + 1)
-    ]
-    rows = []
-    for base_row in base.rows:
-        n = len(base_row)
-        rows.append(
-            tuple(
-                sum(weight[i - 1][k - 1] * base_row[i - 1] for i in range(k, n + 1))
-                for k in range(1, n + 1)
-            )
-        )
-    return LowerTriangularMatrix(rows)
+    return mat_mul(base, pascal_lower(order, m - 1))
 
 
 def row_sum(tri: LowerTriangularMatrix, n: int) -> int:

@@ -25,7 +25,8 @@ each group are counted with ``count_nonzero``, once under the other leading
 letters and once under the marked one, into the histogram entries of their
 mark counts plus the prefix's.  Prefixes run over the block one ``_TILE`` of
 rows at a time, which stays in cache.  Each word is still built from its
-own letters and tested on its own.
+own letters and tested on its own.  A one-letter alphabet has one word,
+0^L, tested as one pair of masks without the letter-by-letter growth.
 ``budget`` bounds A**length; larger spaces raise EnumerationBudgetError
 instead of running forever.
 """
@@ -261,15 +262,21 @@ def mark_histogram(
     import numpy as np
 
     hist = [0] * (length + 1)
-    # the suffix block holds the most letters with alphabet**width <= _CHUNK, at least one
-    width = min(length, 1)
-    while width < length and alphabet ** (width + 1) <= _CHUNK:
-        width += 1
     # the masks also hold bit length, for the carry of the NO_ODD_ZERO_RUNS
     # test, in the narrowest unsigned type that holds it: uint8 below 8
     # letters, uint16 below 16, uint32 below 32 and uint64 below 64.  Past 63
     # bits they are Python ints, so they cannot wrap.
     dtype = np.min_scalar_type(1 << length)
+    if alphabet == 1:
+        # the one word, 0**length, is one pair of masks; growing it letter by
+        # letter would copy its group once per letter
+        zeros, ones = np.array([[(1 << length) - 1], [0]], dtype)
+        hist[length] = int(_passes(zeros, ones, length, restriction)[0])
+        return tuple(hist)
+    # the suffix block holds the most letters with alphabet**width <= _CHUNK, at least one
+    width = min(length, 1)
+    while width < length and alphabet ** (width + 1) <= _CHUNK:
+        width += 1
     # (zero mask, one mask, mark count) of each prefix, as Python ints
     heads, offsets = _grouped_rows(range(width, length), alphabet, marked_letter, dtype)
     zeros, ones = heads.tolist()

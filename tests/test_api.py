@@ -1,6 +1,7 @@
 """The public names and the functions the benchmark tracer patches exist,
-and the README's library session runs."""
+the README's library session runs, and no module keeps an unused import."""
 
+import ast
 import doctest
 import importlib
 import importlib.util
@@ -10,6 +11,7 @@ import comptri
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+SRC = ROOT / "src" / "comptri"
 
 
 def test_all_names_resolve():
@@ -32,3 +34,27 @@ def test_traced_functions_exist():
 def test_readme_session():
     result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
     assert result.attempted and result.failed == 0
+
+
+def _module_imports(tree):
+    """(line, bound name) of each import outside every function and class body."""
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        nodes.extend(ast.iter_child_nodes(node))
+
+
+def test_no_unused_module_imports():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for line, name in _module_imports(tree) if name not in used]
+    assert unused == []

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comptri import bell
 from comptri import (
+    ArithmeticFunction,
     bell_invert_identity_check,
     bell_table,
     make_seed,
@@ -95,3 +97,15 @@ def test_invert_identity_for_explicit_seeds():
 @given(st.lists(st.integers(0, 9) | st.integers(2**63, 2**64 - 1), min_size=1, max_size=12))
 def test_invert_identity_for_custom_seeds(values):
     assert bell_invert_identity_check(values, len(values))
+
+
+def test_invert_identity_detects_a_wrong_transform(monkeypatch):
+    # a transform off by one in its last term breaks the identity in row n_max
+    transform = bell.invert_transform
+
+    def off_by_one(f):
+        values = transform(f).values
+        return ArithmeticFunction(values[:-1] + (values[-1] + 1,))
+
+    monkeypatch.setattr(bell, "invert_transform", off_by_one)
+    assert not bell_invert_identity_check(make_seed("fib", 8).values, 8)

@@ -83,6 +83,9 @@ def test_power_closed_form(order):
         for i in range(1, order + 1):
             for j in range(1, i + 1):
                 assert power.entry(i, j) == m ** (i - j) * comb(i - 1, j - 1)
+        # pascal_lower builds the same power from that closed form
+        assert pascal_lower(order, m).rows == power.rows
+    assert pascal_lower(order, 0).rows == identity(order).rows
 
 
 def test_powers_compose():

@@ -254,6 +254,18 @@ def test_long_single_letter_word_is_exact(restriction, length):
     assert mark_histogram(1, length, restriction, 0) == tuple(expected)
 
 
+@pytest.mark.parametrize("restriction", list(R))
+def test_long_single_letter_space_is_fast(restriction):
+    # the one word of a long single-letter space costs one mask test, not a
+    # pass per letter
+    length = 100_000
+    expected = [0] * (length + 1)
+    expected[length] = int(check((0,) * length, restriction))
+    start = time.perf_counter()
+    assert mark_histogram(1, length, restriction, 0) == tuple(expected)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_histogram_consistency():
     for restriction in (R.NONE, R.ISOLATED_ZEROS, R.ZERO_FRAMED_BOUNDED):
         model = WordModel(3, 5, restriction)
