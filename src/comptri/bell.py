@@ -79,6 +79,8 @@ def bell_invert_identity_check(x: Sequence[int], n_max: int) -> bool:
     and Y(n, k) = k! B_{n,k}(1! y_1, ...).  Returns True iff every pair (n, k)
     in range satisfies it.
     """
+    if len(x) < n_max:
+        raise ValueError(f"need x_1..x_{n_max}, got {len(x)} arguments")
     f = ArithmeticFunction(tuple(x[:n_max]))
     fact = [1]
     for i in range(1, n_max + 1):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from .errors import DimensionError
 
@@ -64,11 +65,13 @@ def pascal_lower(order: int, power: int = 1) -> LowerTriangularMatrix:
 def mat_mul(a: LowerTriangularMatrix, b: LowerTriangularMatrix) -> LowerTriangularMatrix:
     if a.order != b.order:
         raise DimensionError(f"orders differ: {a.order} vs {b.order}")
-    ra, rb = a.rows, b.rows
+    # cols[j] holds column j of b from its diagonal down, so entry (i, j) of
+    # the product is one dot product of a's row i from column j on with it
+    cols = [[row[j] for row in b.rows[j:]] for j in range(b.order)]
     return LowerTriangularMatrix(
         tuple(
-            tuple(sum(ra[i][t] * rb[t][j] for t in range(j, i + 1)) for j in range(i + 1))
-            for i in range(a.order)
+            tuple(sum(map(mul, row[j:], cols[j])) for j in range(len(row)))
+            for row in a.rows
         )
     )
 

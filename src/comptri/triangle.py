@@ -16,8 +16,10 @@ work.  Four algorithms compute the same triangle:
 
   * triangle_recurrence: peel off the first part,
         c(n, k) = sum_{i=1}^{n-k+1} w(i) c(n-i, k-1);
-  * triangle_convolution: column k is the k-fold self-convolution of w,
-        c(n, k) = [x^n] (sum_i w(i) x^i)^k;
+  * triangle_convolution: column k is C_k = W^k for W = sum_i w(i) x^i,
+    read from f_0 alone: W = F_0 / (1 - (m-1) F_0) gives
+    C_k = F_0 (C_{k-1} + (m-1) C_k), that is
+        c(n, k) = sum_i f_0(i) (c(n-i, k-1) + (m-1) c(n-i, k));
   * triangle_bell: partial Bell polynomials at factorial-scaled arguments,
         c(n, k) = (k! / n!) B_{n,k}(1! w(1), 2! w(2), ...);
   * triangle_pascal: the depth-1 triangle times a Pascal-matrix power,
@@ -26,13 +28,17 @@ work.  Four algorithms compute the same triangle:
     with L^(m-1) from pascal.pascal_lower and the product from
     pascal.mat_mul, which no other route calls.
 
-All four read the same seed.  The recurrence, convolution and Bell routes
-each apply the invert transform; triangle_pascal never does, but takes its
-depth-1 base c_1 from triangle_recurrence at every m, and at m = 1 returns
-that base, so there only three routes are independent.  Agreement across
-the routes is still a strong consistency check.  The recurrence also
-needs c(0, 0) = 1 and c(n, 0) = 0 for n >= 1; those conventions live only
-in _rows_from_weights, which keeps column 0 while it fills the rows.
+All four read the same seed.  The recurrence and Bell routes compute w
+with iterate_invert.  The convolution route never computes w and uses only
+the transform's closed form above, so at m >= 2 its sums differ from the
+recurrence's; at m = 1 the (m-1) term drops out and it is the recurrence's
+sum in another loop order.  triangle_pascal never applies the transform,
+but takes its depth-1 base c_1 from triangle_recurrence at every m, and at
+m = 1 returns that base, so there only three routes are independent.
+Agreement across the routes is still a strong consistency check.  The
+recurrence and the convolution both need c(0, 0) = 1 and c(n, 0) = 0 for
+n >= 1; each keeps its own column 0 while it fills the rows, so that
+neither route's conventions can mask a bug in the other's.
 """
 
 from __future__ import annotations
@@ -87,27 +93,41 @@ def triangle_recurrence(f0: ArithmeticFunction, m: int, order: int) -> LowerTria
     return LowerTriangularMatrix(_rows_from_weights(w, order))
 
 
-def _poly_mul_trunc(a: list[int], b: list[int], deg: int) -> list[int]:
-    out = [0] * (deg + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        top = min(len(b) - 1, deg - i)
-        for j in range(top + 1):
-            out[i + j] += ai * b[j]
-    return out
-
-
 def triangle_convolution(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangularMatrix:
-    """Build the triangle by truncated polynomial self-convolution."""
-    w = _weights(f0, m, order)
-    poly = [0] + list(w)
-    power = [1] + [0] * order
+    """Build the triangle column by column from f_0 alone, never from w.
+
+    With F_0(x) = sum_i f_0(i) x^i, the weights' series is
+    W = F_0 / (1 - (m-1) F_0), so W = F_0 (1 + (m-1) W) and column k,
+    C_k = W^k, satisfies C_k = F_0 (C_{k-1} + (m-1) C_k).  Each entry is then
+    one sum over the nonzero terms of the seed,
+
+        c(n, k) = sum_i f_0(i) h(n - i),   h(j) = c(j, k-1) + (m-1) c(j, k),
+
+    and h(n) takes its second term as soon as c(n, k) is known.  Every product
+    is a seed value times an entry.  With s the least i where f_0(i) != 0,
+    rows n < s k of column k are zero and are skipped.
+    """
+    nonzero = [(i, v) for i, v in enumerate(_prefix(f0, m, order).values, start=1) if v]
     rows = [[0] * n for n in range(1, order + 1)]
-    for k in range(1, order + 1):
-        power = _poly_mul_trunc(power, poly, order)
-        for n in range(k, order + 1):
-            rows[n - 1][k - 1] = power[n]
+    if not nonzero:
+        return LowerTriangularMatrix(rows)
+    s = nonzero[0][0]
+    # column[j] = c(j, 0): 1 at j = 0, else 0
+    column = [1] + [0] * order
+    for k in range(1, order // s + 1):
+        # h starts as column k-1, which no later column reads
+        h, column = column, [0] * (order + 1)
+        low = s * (k - 1)  # h(j) = 0 for j < low
+        for n in range(s * k, order + 1):
+            acc = 0
+            for i, v in nonzero:
+                if n - i < low:
+                    break
+                acc += v * h[n - i]
+            column[n] = acc
+            rows[n - 1][k - 1] = acc
+            if m > 1:
+                h[n] += (m - 1) * acc
     return LowerTriangularMatrix(rows)
 
 

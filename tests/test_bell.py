@@ -99,6 +99,12 @@ def test_invert_identity_for_custom_seeds(values):
     assert bell_invert_identity_check(values, len(values))
 
 
+def test_invert_identity_refuses_short_arguments():
+    with pytest.raises(ValueError, match=r"need x_1\.\.x_5, got 2 arguments"):
+        bell_invert_identity_check([1, 2], 5)
+    assert bell_invert_identity_check([1, 2, 0, 3, 1, 9], 5)
+
+
 def test_invert_identity_detects_a_wrong_transform(monkeypatch):
     # a transform off by one in its last term breaks the identity in row n_max
     transform = bell.invert_transform

@@ -3,6 +3,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comptri import (
     DimensionError,
@@ -99,3 +101,22 @@ def test_shifted_pascal_inverse(order):
     assert q.entry(order, 1) == order
     assert mat_mul(q, qinv).rows == identity(order).rows
     assert mat_mul(qinv, q).rows == identity(order).rows
+
+
+
+def lower_matrices(order):
+    entry = st.integers(-(2**70), 2**70)
+    rows = st.tuples(*(st.lists(entry, min_size=i, max_size=i) for i in range(1, order + 1)))
+    return rows.map(LowerTriangularMatrix)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(lower_matrices(n), lower_matrices(n))))
+def test_product_matches_the_definition(pair):
+    # entry (i, j) of a b is sum_{t=j}^{i} a(i, t) b(t, j)
+    a, b = pair
+    expected = tuple(
+        tuple(sum(a.entry(i, t) * b.entry(t, j) for t in range(j, i + 1)) for j in range(1, i + 1))
+        for i in range(1, a.order + 1)
+    )
+    assert mat_mul(a, b).rows == expected

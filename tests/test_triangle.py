@@ -11,6 +11,7 @@ from comptri import (
     ArithmeticFunction,
     InsufficientSeedError,
     OutputSizeError,
+    closed_form,
     extended_binomial,
     iterate_invert,
     make_seed,
@@ -84,7 +85,7 @@ def test_depth_two_matches_composition_sums(preset):
 
 
 @pytest.mark.parametrize("preset", PRESETS)
-@pytest.mark.parametrize("m", (1, 2, 3))
+@pytest.mark.parametrize("m", (1, 2, 3, 2**40))
 def test_four_routes_agree(preset, m):
     f0 = make_seed(preset, 12)
     rows = [build(f0, m, 12).rows for build in BUILDERS]
@@ -96,6 +97,72 @@ def test_four_routes_agree(preset, m):
 def test_four_routes_agree_on_custom_seeds(f0, m):
     rows = [build(f0, m, len(f0)).rows for build in BUILDERS]
     assert rows[0] == rows[1] == rows[2] == rows[3]
+
+
+# seeds whose support starts at s = 3 or later, so column k begins at row s k;
+# the last has no support, so every route returns the zero triangle
+LATE_SEEDS = (
+    (0, 0, 3, 0, 7, 1, 0, 2, 9, 4),
+    (0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+    (0, 0, 0, 2**64 - 1, 5, 0, 1, 2**63, 0),
+    (0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 2),
+    (0, 0, 0, 0),
+)
+
+
+@pytest.mark.parametrize("values", LATE_SEEDS)
+@pytest.mark.parametrize("m", (1, 2, 3, 2**40))
+def test_four_routes_agree_on_late_seeds(values, m):
+    f0 = ArithmeticFunction(values)
+    rows = [build(f0, m, len(f0)).rows for build in BUILDERS]
+    assert rows[0] == rows[1] == rows[2] == rows[3]
+
+
+def _reference(preset, m, order):
+    """The depth-m triangle from closed forms, or from the recurrence for odd."""
+    if preset == "odd":
+        return triangle_recurrence(make_seed(preset, order), m, order).rows
+    return tuple(
+        tuple(closed_form(preset, m, n, k) for k in range(1, n + 1)) for n in range(1, order + 1)
+    )
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_convolution_and_pascal_need_no_transformed_weights(preset, monkeypatch):
+    # a transform that is wrong from its first step on breaks the routes that
+    # read w, while the convolution route reads f_0 and the Pascal route c_1
+    expected = _reference(preset, 2, 10)
+    transform = triangle.iterate_invert
+
+    def wrong(f, m):
+        good = transform(f, m)
+        return good if m == 0 else ArithmeticFunction(tuple(v + 1 for v in good.values))
+
+    monkeypatch.setattr(triangle, "iterate_invert", wrong)
+    f0 = make_seed(preset, 10)
+    assert triangle_convolution(f0, 2, 10).rows == expected
+    assert triangle_pascal(f0, 2, 10).rows == expected
+    assert triangle_recurrence(f0, 2, 10).rows != expected
+    assert triangle_bell(f0, 2, 10).rows != expected
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("m", (2, 3))
+def test_convolution_and_bell_survive_a_broken_recurrence(preset, m, monkeypatch):
+    expected = _reference(preset, m, 10)
+    rows_from_weights = triangle._rows_from_weights
+
+    def corrupted(w, order):
+        rows = [list(row) for row in rows_from_weights(w, order)]
+        rows[6][2] += 1
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(triangle, "_rows_from_weights", corrupted)
+    f0 = make_seed(preset, 10)
+    assert triangle_convolution(f0, m, 10).rows == expected
+    assert triangle_bell(f0, m, 10).rows == expected
+    assert triangle_recurrence(f0, m, 10).rows != expected
+    assert triangle_pascal(f0, m, 10).rows != expected
 
 
 @PROPERTY
