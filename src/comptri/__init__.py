@@ -30,7 +30,6 @@ from .identities import (
 )
 from .pascal import (
     LowerTriangularMatrix,
-    identity,
     mat_mul,
     mat_pow,
     pascal_lower,
@@ -98,7 +97,6 @@ __all__ = [
     "composition_to_word",
     "count_words",
     "extended_binomial",
-    "identity",
     "invert_transform",
     "iterate_invert",
     "make_seed",

@@ -8,6 +8,10 @@ filled with the dividing recurrence
 
 with B(0, 0) = 1.  At integer arguments every division by k is exact; a
 remainder would mean a bug, so it raises instead of truncating.
+
+bell_triangle is the Bell route of the triangle module at w = f_(m-1), and
+bell_invert_identity_check compares bell_triangle(x) L, for the Pascal
+matrix L, with bell_triangle(y), for y the invert transform of x.
 """
 
 from __future__ import annotations
@@ -67,6 +71,28 @@ def partial_bell(x: Sequence[int], n: int, k: int) -> int:
     return bell_table(padded, n)[n][k]
 
 
+def bell_triangle(w: Sequence[int], order: int) -> LowerTriangularMatrix:
+    """c(n, k) = (k! / n!) B_{n,k}(1! w_1, 2! w_2, ...) for 1 <= k <= n <= order.
+    That is the total w-weight of the compositions of n into k parts, so every
+    (k! / n!) scaling is exact; a remainder raises InternalConsistencyError."""
+    fact = [1]
+    for i in range(1, order + 1):
+        fact.append(fact[-1] * i)
+    table = bell_table([fact[i] * w[i - 1] for i in range(1, order + 1)], order)
+    rows = []
+    for n in range(1, order + 1):
+        row = []
+        for k in range(1, n + 1):
+            q, r = divmod(table[n][k] * fact[k], fact[n])
+            if r:
+                raise InternalConsistencyError(
+                    f"k!/n! scaling of B({n},{k}) is not exact"
+                )
+            row.append(q)
+        rows.append(tuple(row))
+    return LowerTriangularMatrix(rows)
+
+
 def bell_invert_identity_check(x: Sequence[int], n_max: int) -> bool:
     """Check the argument-transform identity for all 1 <= k <= n <= n_max.
 
@@ -76,20 +102,15 @@ def bell_invert_identity_check(x: Sequence[int], n_max: int) -> bool:
             = sum_{i=k}^{n} C(i-1, k-1) i! B_{n,i}(1! x_1, 2! x_2, ...).
 
     or Y = X L for the Pascal matrix L, with X(n, i) = i! B_{n,i}(1! x_1, ...)
-    and Y(n, k) = k! B_{n,k}(1! y_1, ...).  Returns True iff every pair (n, k)
-    in range satisfies it.
+    and Y(n, k) = k! B_{n,k}(1! y_1, ...).  Row n divided by n!, exactly, is
+    bell_triangle(x) L = bell_triangle(y), which is compared.  Returns True
+    iff every pair (n, k) in range satisfies it; at n_max = 0 there is none.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if len(x) < n_max:
         raise ValueError(f"need x_1..x_{n_max}, got {len(x)} arguments")
-    f = ArithmeticFunction(tuple(x[:n_max]))
-    fact = [1]
-    for i in range(1, n_max + 1):
-        fact.append(fact[-1] * i)
-
-    def scaled(v: ArithmeticFunction) -> LowerTriangularMatrix:
-        table = bell_table([fact[i] * v(i) for i in range(1, n_max + 1)], n_max)
-        return LowerTriangularMatrix(
-            tuple(tuple(fact[k] * table[n][k] for k in range(1, n + 1)) for n in range(1, n_max + 1))
-        )
-
-    return mat_mul(scaled(f), pascal_lower(n_max)).rows == scaled(invert_transform(f)).rows
+    if n_max == 0:
+        return True
+    y = invert_transform(ArithmeticFunction(tuple(x[:n_max]))).values
+    return mat_mul(bell_triangle(x, n_max), pascal_lower(n_max)).rows == bell_triangle(y, n_max).rows

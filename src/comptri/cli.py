@@ -73,7 +73,7 @@ def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser):
             n = args.N if args.N is not None else len(values)
             if len(values) < n:
                 raise InsufficientSeedError(f"custom seed has {len(values)} terms, {n} requested")
-            seed = ArithmeticFunction(tuple(values[:n]), label="custom")
+            seed = ArithmeticFunction(tuple(values[:n]))
         except ComptriError as exc:
             parser.error(str(exc))
         return seed, values[:n], n
@@ -185,18 +185,17 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             parser.error(
                 f"--max must be at least {least}: the {name} suite compares nothing below it"
             )
-    total_checks = 0
-    total_fails = 0
+    results = []
     for name in names:
         result = suites[name]()
-        total_checks += result.checks
-        total_fails += len(result.failures)
+        results.append(result)
         sys.stdout.write(f"{name}: {result.checks} checks, {len(result.failures)} failures\n")
         for line in result.failures[:10]:
             sys.stderr.write(f"  {name}: {line}\n")
-    verdict = "PASS" if total_fails == 0 else "FAIL"
-    sys.stdout.write(f"{verdict}: {total_checks} checks, {total_fails} failures\n")
-    return EXIT_OK if total_fails == 0 else EXIT_FAIL
+    total = verify.combine(*results)
+    verdict = "FAIL" if total.failures else "PASS"
+    sys.stdout.write(f"{verdict}: {total.checks} checks, {len(total.failures)} failures\n")
+    return EXIT_FAIL if total.failures else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triangle", help="print the depth-m triangle c(n,k)")
     add_seed_flags(p, ORDER_CAP)
     p.add_argument("--m", action=_IntRange, floor=1, default=1, help="triangle depth, at least 1")
-    p.add_argument("--algo", choices=("recurrence", "conv", "bell", "pascal", "all"), default="recurrence")
+    p.add_argument("--algo", choices=(*_BUILDERS, "all"), default="recurrence")
     p.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
     p.set_defaults(handler=_cmd_triangle, parser=p)
 

@@ -44,12 +44,6 @@ class LowerTriangularMatrix:
         return self.rows[i - 1][j - 1] if j <= i else 0
 
 
-def identity(order: int) -> LowerTriangularMatrix:
-    return LowerTriangularMatrix(
-        tuple(tuple(1 if j == i else 0 for j in range(i + 1)) for i in range(order))
-    )
-
-
 def pascal_lower(order: int, power: int = 1) -> LowerTriangularMatrix:
     """L**power for the Pascal matrix L, from its closed form: entry (i, j) is
     power^(i-j) C(i-1, j-1).  The default gives L itself, C(i-1, j-1), and
@@ -80,7 +74,7 @@ def mat_pow(a: LowerTriangularMatrix, e: int) -> LowerTriangularMatrix:
     """a**e by repeated squaring; e = 0 gives the identity."""
     if e < 0:
         raise ValueError("negative powers are not defined here")
-    result = identity(a.order)
+    result = pascal_lower(a.order, 0)
     base = a
     while e:
         if e & 1:

@@ -21,7 +21,8 @@ work.  Four algorithms compute the same triangle:
     C_k = F_0 (C_{k-1} + (m-1) C_k), that is
         c(n, k) = sum_i f_0(i) (c(n-i, k-1) + (m-1) c(n-i, k));
   * triangle_bell: partial Bell polynomials at factorial-scaled arguments,
-        c(n, k) = (k! / n!) B_{n,k}(1! w(1), 2! w(2), ...);
+        c(n, k) = (k! / n!) B_{n,k}(1! w(1), 2! w(2), ...),
+    which is bell.bell_triangle at w = f_(m-1);
   * triangle_pascal: the depth-1 triangle times a Pascal-matrix power,
     c_m = c_1 L^(m-1), that is
         c(n, k) = sum_{i=k}^{n} (m-1)^(i-k) C(i-1, k-1) c_1(n, i),
@@ -43,8 +44,8 @@ neither route's conventions can mask a bug in the other's.
 
 from __future__ import annotations
 
-from .bell import bell_table
-from .errors import InsufficientSeedError, InternalConsistencyError
+from .bell import bell_triangle
+from .errors import InsufficientSeedError
 from .pascal import LowerTriangularMatrix, mat_mul, pascal_lower
 from .sequences import ArithmeticFunction, check_output_size, iterate_invert
 
@@ -132,28 +133,8 @@ def triangle_convolution(f0: ArithmeticFunction, m: int, order: int) -> LowerTri
 
 
 def triangle_bell(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangularMatrix:
-    """Build the triangle from partial Bell polynomials.
-
-    Every (k! / n!) scaling must divide exactly; a remainder raises
-    InternalConsistencyError.
-    """
-    w = _weights(f0, m, order)
-    fact = [1]
-    for i in range(1, order + 1):
-        fact.append(fact[-1] * i)
-    table = bell_table([fact[i] * w[i - 1] for i in range(1, order + 1)], order)
-    rows = []
-    for n in range(1, order + 1):
-        row = []
-        for k in range(1, n + 1):
-            q, r = divmod(table[n][k] * fact[k], fact[n])
-            if r:
-                raise InternalConsistencyError(
-                    f"k!/n! scaling of B({n},{k}) is not exact"
-                )
-            row.append(q)
-        rows.append(tuple(row))
-    return LowerTriangularMatrix(rows)
+    """Build the triangle from partial Bell polynomials: bell.bell_triangle at w."""
+    return bell_triangle(_weights(f0, m, order), order)
 
 
 def triangle_pascal(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangularMatrix:

@@ -1,5 +1,6 @@
 """The public names and the functions the benchmark tracer patches exist,
-the README's library session runs, and no module keeps an unused import."""
+the README's library session runs, and no module keeps an unused import
+or an unused private function."""
 
 import ast
 import doctest
@@ -57,4 +58,25 @@ def test_no_unused_module_imports():
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for line, name in _module_imports(tree) if name not in used]
+    assert unused == []
+
+
+def test_no_unused_private_functions():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unused = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
     assert unused == []

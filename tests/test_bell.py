@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from comptri import bell
 from comptri import (
     ArithmeticFunction,
+    InternalConsistencyError,
     bell_invert_identity_check,
     bell_table,
     make_seed,
@@ -83,6 +84,20 @@ def test_argument_validation():
         bell_table([1.5, 2], 2)
 
 
+def test_bell_triangle_refuses_an_inexact_scaling(monkeypatch):
+    # B(3, 1) one too high leaves c(3, 1) = (1!/3!) B(3, 1) with a remainder
+    table = bell.bell_table
+
+    def off_by_one(x, n_max):
+        rows = table(x, n_max)
+        rows[3][1] += 1
+        return rows
+
+    monkeypatch.setattr(bell, "bell_table", off_by_one)
+    with pytest.raises(InternalConsistencyError, match=r"B\(3,1\)"):
+        bell.bell_triangle([1, 1, 1], 3)
+
+
 @pytest.mark.parametrize("preset", ("ones", "fib", "odd", "natural", "ge2", "two_three"))
 def test_invert_identity_for_presets(preset):
     assert bell_invert_identity_check(make_seed(preset, 9).values, 9)
@@ -103,6 +118,14 @@ def test_invert_identity_refuses_short_arguments():
     with pytest.raises(ValueError, match=r"need x_1\.\.x_5, got 2 arguments"):
         bell_invert_identity_check([1, 2], 5)
     assert bell_invert_identity_check([1, 2, 0, 3, 1, 9], 5)
+
+
+def test_invert_identity_at_order_zero_and_below():
+    # at n_max = 0 there is no pair (n, k) to check; below it is a usage error
+    assert bell_invert_identity_check([1, 2], 0)
+    assert bell_invert_identity_check([], 0)
+    with pytest.raises(ValueError, match=r"^n_max must be >= 0$"):
+        bell_invert_identity_check([1], -1)
 
 
 def test_invert_identity_detects_a_wrong_transform(monkeypatch):

@@ -172,6 +172,25 @@ def test_oracle_all_match(capsys):
     assert all(line.endswith(",ok") for line in lines[1:])
 
 
+def test_oracle_reports_a_mismatch(capsys, monkeypatch):
+    # an oracle one too high at c(4, 2) fails that line and the run, and only them
+    oracle_row = cli.oracle_row
+
+    def off_by_one(preset, m, n, budget):
+        counts = list(oracle_row(preset, m, n, budget))
+        if n == 4:
+            counts[1] += 1
+        return counts
+
+    monkeypatch.setattr(cli, "oracle_row", off_by_one)
+    code, out, _ = run(capsys, "oracle", "--preset", "fib", "--m", "2", "--N", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "n,k,engine,oracle,match"
+    assert len(lines) == 1 + 15
+    assert [line for line in lines[1:] if not line.endswith(",ok")] == ["4,2,10,11,MISMATCH"]
+
+
 def test_oracle_ge2_starts_past_three(capsys):
     code, out, _ = run(capsys, "oracle", "--preset", "ge2", "--m", "1", "--N", "6")
     assert code == 0

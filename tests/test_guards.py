@@ -1,0 +1,66 @@
+"""Argument guards raise their documented exception type and message."""
+
+import pytest
+
+from comptri import (
+    InvalidSeedError,
+    Restriction as R,
+    bell_table,
+    check,
+    check_binomial_inversion,
+    check_chebyshev,
+    check_power_expansion,
+    check_word_binomial,
+    extended_binomial,
+    make_seed,
+    mark_histogram,
+    oracle_model,
+    triangle_recurrence,
+)
+
+F = make_seed("ones", 5)
+
+
+# one row per guard: call, exception type, message
+GUARDS = {
+    "bell_table-negative-n_max": (lambda: bell_table([1], -1), ValueError, "n_max must be >= 0"),
+    "binomial_inversion-k-above-n": (
+        lambda: check_binomial_inversion(2, 3), ValueError, "need 1 <= k <= n"
+    ),
+    "power_expansion-k-above-n": (
+        lambda: check_power_expansion(2, 2, 3), ValueError, "need 1 <= k <= n"
+    ),
+    "word_binomial-n-zero": (
+        lambda: check_word_binomial(0, 1, 0), ValueError, "need n >= 1 and k >= 1"
+    ),
+    "chebyshev-k-above-n": (lambda: check_chebyshev(2, 3, 0), ValueError, "need 1 <= k <= n"),
+    "make_seed-no-terms": (
+        lambda: make_seed("ones", 0), InvalidSeedError, "n_terms must be at least 1"
+    ),
+    "triangle_recurrence-order-zero": (
+        lambda: triangle_recurrence(make_seed("ones", 3), 1, 0), ValueError, "order must be >= 1"
+    ),
+    "extended_binomial-k-zero": (lambda: extended_binomial(F, 0, 1), ValueError, "k must be >= 1"),
+    "extended_binomial-n-negative": (
+        lambda: extended_binomial(F, 1, -1), ValueError, "n must be >= 0"
+    ),
+    "mark_histogram-marked-letter-outside": (
+        lambda: mark_histogram(2, 3, R.NONE, 2),
+        ValueError,
+        "marked letter must belong to the alphabet",
+    ),
+    "oracle_model-n-zero": (lambda: oracle_model("ones", 1, 0), ValueError, "n must be >= 1"),
+    "check-unknown-restriction": (
+        lambda: check((0, 1), "none"), ValueError, "unknown restriction 'none'"
+    ),
+    "mark_histogram-unknown-restriction": (
+        lambda: mark_histogram(2, 3, "none", 1), ValueError, "unknown restriction 'none'"
+    ),
+}
+
+
+@pytest.mark.parametrize(("call", "error", "message"), GUARDS.values(), ids=GUARDS)
+def test_argument_guard(call, error, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert (info.type, str(info.value)) == (error, message)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from comptri import (
     DimensionError,
     LowerTriangularMatrix,
-    identity,
     mat_mul,
     mat_pow,
     pascal_lower,
@@ -47,7 +46,7 @@ def test_bool_entries_rejected():
 
 
 def test_entry_bounds():
-    m = identity(3)
+    m = pascal_lower(3, 0)
     with pytest.raises(IndexError):
         m.entry(0, 1)
     with pytest.raises(IndexError):
@@ -56,24 +55,24 @@ def test_entry_bounds():
 
 def test_identity_is_neutral():
     ell = pascal_lower(6)
-    assert mat_mul(ell, identity(6)).rows == ell.rows
-    assert mat_mul(identity(6), ell).rows == ell.rows
+    assert mat_mul(ell, pascal_lower(6, 0)).rows == ell.rows
+    assert mat_mul(pascal_lower(6, 0), ell).rows == ell.rows
 
 
 def test_mismatched_orders():
     with pytest.raises(DimensionError):
-        mat_mul(identity(3), identity(4))
+        mat_mul(pascal_lower(3, 0), pascal_lower(4, 0))
 
 
 def test_power_zero_and_one():
     ell = pascal_lower(5)
-    assert mat_pow(ell, 0).rows == identity(5).rows
+    assert mat_pow(ell, 0).rows == pascal_lower(5, 0).rows
     assert mat_pow(ell, 1).rows == ell.rows
 
 
 def test_negative_power_rejected():
     with pytest.raises(ValueError):
-        mat_pow(identity(2), -1)
+        mat_pow(pascal_lower(2, 0), -1)
 
 
 @pytest.mark.parametrize("order", (1, 4, 9, 14))
@@ -87,7 +86,10 @@ def test_power_closed_form(order):
                 assert power.entry(i, j) == m ** (i - j) * comb(i - 1, j - 1)
         # pascal_lower builds the same power from that closed form
         assert pascal_lower(order, m).rows == power.rows
-    assert pascal_lower(order, 0).rows == identity(order).rows
+    # power 0 is the identity: ones on the diagonal, zeros below it
+    assert pascal_lower(order, 0).rows == tuple(
+        tuple(int(j == i) for j in range(1, i + 1)) for i in range(1, order + 1)
+    )
 
 
 def test_powers_compose():
@@ -99,8 +101,8 @@ def test_powers_compose():
 def test_shifted_pascal_inverse(order):
     q, qinv = shifted_pascal_inverse(order)
     assert q.entry(order, 1) == order
-    assert mat_mul(q, qinv).rows == identity(order).rows
-    assert mat_mul(qinv, q).rows == identity(order).rows
+    assert mat_mul(q, qinv).rows == pascal_lower(order, 0).rows
+    assert mat_mul(qinv, q).rows == pascal_lower(order, 0).rows
 
 
 
