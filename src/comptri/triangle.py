@@ -40,6 +40,11 @@ Agreement across the routes is still a strong consistency check.  The
 recurrence and the convolution both need c(0, 0) = 1 and c(n, 0) = 0 for
 n >= 1; each keeps its own column 0 while it fills the rows, so that
 neither route's conventions can mask a bug in the other's.
+
+`comptri triangle --algo all` builds triangle_convolution and triangle_bell
+in a forked child while it builds the other two, when more than one CPU is
+usable, so those two routes share no memory with the others there; see
+comptri.cli.
 """
 
 from __future__ import annotations

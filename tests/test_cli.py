@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import comptri
 from comptri import LowerTriangularMatrix, Preset, cli, triangle_bell, verify
 from comptri.cli import main
+from comptri.errors import InternalConsistencyError
 
 SRC = str(Path(comptri.__file__).resolve().parents[1])
 
@@ -101,11 +103,146 @@ def test_triangle_single_entry(capsys):
     assert out == "n,k,value\n1,1,1\n"
 
 
-def test_triangle_all_algorithms_agree(capsys):
-    code_all, out_all, err = run(capsys, "triangle", "--preset", "odd", "--m", "3", "--N", "10", "--algo", "all")
-    code_one, out_one, _ = run(capsys, "triangle", "--preset", "odd", "--m", "3", "--N", "10")
+def wide_seed(rng_seed=64):
+    """64 values of about 2**63, a quarter of them zero but never f(1): at m = 2
+    each route's triangle pickles to far more than a pipe buffer holds."""
+    rng = random.Random(rng_seed)
+    seed = [rng.getrandbits(63) | 1 << 63 for _ in range(64)]
+    for i in rng.sample(range(1, 64), 16):
+        seed[i] = 0
+    return ",".join(map(str, seed))
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+
+def no_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+
+
+def fork_fails(monkeypatch):
+    def fork():
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def forked(monkeypatch):
+    # the child is used whenever os.fork exists, whatever this host's CPU count
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+
+BUILD_PATHS = [forked, no_fork, one_cpu, fork_fails]
+
+
+@pytest.mark.parametrize("path", BUILD_PATHS)
+@pytest.mark.parametrize(
+    "source",
+    [("--preset", "odd", "--m", "3", "--N", "10"), ("--seed", wide_seed(), "--m", "2", "--N", "64")],
+    ids=["odd", "wide"],
+)
+def test_triangle_all_algorithms_agree(capsys, monkeypatch, source, path):
+    path(monkeypatch)
+    code_all, out_all, err = run(capsys, "triangle", *source, "--algo", "all")
+    code_one, out_one, _ = run(capsys, "triangle", *source)
     assert code_all == 0 and err == ""
     assert out_all == out_one
+
+
+def test_usable_cpus_reads_the_affinity_mask_then_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert cli._usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert cli._usable_cpus() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def raise_inconsistency(seed, m, n):
+    raise InternalConsistencyError(f"planted failure at N={n}")
+
+
+@pytest.mark.parametrize("route", cli._CHILD_ROUTES)
+def test_a_child_route_failure_reads_as_in_process(capsys, monkeypatch, route):
+    monkeypatch.setitem(cli._BUILDERS, route, raise_inconsistency)
+    argv = ("triangle", "--preset", "fib", "--m", "2", "--N", "9", "--algo", "all")
+    with monkeypatch.context() as inline:
+        no_fork(inline)
+        expected = run(capsys, *argv)
+    forked(monkeypatch)
+    assert run(capsys, *argv) == expected == (2, "", "error: planted failure at N=9\n")
+    assert_no_child_left()
+
+
+def test_the_first_failure_in_builder_order_is_reported(capsys, monkeypatch):
+    # pascal fails in this process, conv (earlier in _BUILDERS) in the child
+    def raise_value_error(seed, m, n):
+        raise ValueError("pascal failed")
+
+    monkeypatch.setitem(cli._BUILDERS, "conv", raise_inconsistency)
+    monkeypatch.setitem(cli._BUILDERS, "pascal", raise_value_error)
+    forked(monkeypatch)
+    argv = ("triangle", "--preset", "ones", "--m", "2", "--N", "4", "--algo", "all")
+    assert run(capsys, *argv) == (2, "", "error: planted failure at N=4\n")
+    assert_no_child_left()
+
+
+def test_a_child_that_sends_nothing_is_an_error(capsys, monkeypatch):
+    def die(seed, m, n):
+        os._exit(1)
+
+    monkeypatch.setitem(cli._BUILDERS, "bell", die)
+    forked(monkeypatch)
+    argv = ("triangle", "--preset", "ones", "--m", "2", "--N", "4", "--algo", "all")
+    assert run(capsys, *argv) == (2, "", "error: the process building conv, bell sent no result\n")
+    assert_no_child_left()
+
+
+PARENT_FAILURE = """
+import json, os, sys
+from comptri import cli
+from comptri.errors import InternalConsistencyError
+planted = {"InternalConsistencyError": InternalConsistencyError, "KeyboardInterrupt": KeyboardInterrupt}
+def fail(seed, m, n):
+    raise planted[sys.argv[1]]("planted failure")
+cli._BUILDERS["recurrence"] = fail
+cli._usable_cpus = lambda: 2
+try:
+    code = cli.main(["triangle", "--seed", sys.argv[2], "--m", "2", "--N", "64", "--algo", "all"])
+except KeyboardInterrupt:
+    code = "interrupted"
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(json.dumps([code, left]))
+"""
+
+
+@pytest.mark.parametrize(
+    ("planted", "code", "stderr"),
+    [("InternalConsistencyError", 2, "error: planted failure\n"), ("KeyboardInterrupt", "interrupted", "")],
+    ids=["error", "interrupt"],
+)
+def test_a_parent_route_failure_leaves_no_child(planted, code, stderr):
+    # a subprocess with a timeout: a parent that waits for a child blocked on a
+    # full pipe hangs here instead of failing
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", PARENT_FAILURE, planted, wide_seed()],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stderr) == (0, stderr)
+    assert json.loads(proc.stdout) == [code, False]
 
 
 def bell_plus_one(entries):
@@ -330,7 +467,9 @@ STARTUP_CHECK = """
 import contextlib, io, json, sys
 import comptri
 from comptri import cli
-report = []
+cli.build_parser()
+# pickle is imported by `triangle --algo all` alone, so startup does not pay for it
+report = [sorted({"numpy", "pickle"} & set(sys.modules))]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
@@ -353,7 +492,7 @@ def test_only_word_enumeration_imports_numpy():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.stderr == ""
-    assert json.loads(proc.stdout) == [[0, False], [0, False], [0, False], [0, True]]
+    assert json.loads(proc.stdout) == [[], [0, False], [0, False], [0, False], [0, True]]
 
 
 def test_verify_single_suite(capsys):
