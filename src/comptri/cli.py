@@ -22,13 +22,7 @@ import sys
 from typing import Sequence
 
 from . import verify
-from .errors import (
-    ComptriError,
-    EnumerationBudgetError,
-    InsufficientSeedError,
-    InternalConsistencyError,
-    OutputSizeError,
-)
+from .errors import ComptriError, EnumerationBudgetError, InsufficientSeedError, OutputSizeError
 from .sequences import ArithmeticFunction, Preset, check_output_size, iterate_invert, make_seed
 from .triangle import (
     ORDER_CAP,
@@ -193,7 +187,7 @@ def _build_forked(child, own, seed, m: int, n: int) -> dict:
         try:
             built.update(pickle.load(stream))
         except (EOFError, pickle.UnpicklingError):
-            raise InternalConsistencyError(f"the process building {', '.join(child)} sent no result")
+            raise ComptriError(f"the process building {', '.join(child)} sent no result")
     finally:
         # closed first, so that a child blocked on a full pipe fails its write and exits
         stream.close()
