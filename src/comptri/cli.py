@@ -5,12 +5,14 @@ budget or output-size bound exceeded.  All output is UTF-8 with LF line
 endings and is deterministic for a fixed invocation.
 
 ``triangle --algo all`` builds the conv and bell routes in a child made by
-os.fork while this process builds recurrence and pascal, when os.fork exists
-and more than one CPU is usable (the affinity mask, else os.cpu_count());
-otherwise it builds all four in this process.  The fork costs about 2-3 ms
-per call, so at N=64 on a wide seed the call takes about the time of its
-slower half instead of the sum.  The output, the exit code and the reported
-failure are those of an in-process build.
+os.fork while this process builds recurrence and pascal, and ``verify`` with
+no --suite runs the binomial, bell, pascal and closed-forms suites in such a
+child while this process runs row-sums, chebyshev and word-binomial.  Both
+fork when os.fork exists and more than one CPU is usable (the affinity mask,
+else os.cpu_count()); otherwise this process does all the work.  The fork
+costs about 2-3 ms per call, so at N=64 on a wide seed the call takes about
+the time of its slower half instead of the sum.  The output, the exit code
+and the reported failure are those of an in-process run.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ _BUILDERS = {
 # the others: over the 32 triangles at N=64 of one perfbench algebra pass they
 # take about 1.0 s against 1.1 s for recurrence and pascal, the best-balanced split
 _CHILD_ROUTES = ("conv", "bell")
+# `verify` with no --suite runs these suites in a forked child while it runs
+# the others: at default bounds they take about 43 ms against about 37 ms for
+# row-sums, chebyshev and word-binomial, and the two word-counting suites stay
+# here, so numpy is imported only in this process
+_CHILD_SUITES = ("binomial", "bell", "pascal", "closed-forms")
 
 
 def _parse_seed_list(text: str) -> list[int]:
@@ -143,83 +150,85 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _build_routes(names, seed, m: int, n: int) -> dict:
-    """Maps each named route to its rows, in _BUILDERS order, up to the first
-    that raises, which maps to its exception."""
-    built = {}
+def _run_jobs(names, jobs) -> dict:
+    """Maps each name to the result of ``jobs[name]()``, in order, up to the
+    first job that raises, which maps to its exception."""
+    done = {}
     for name in names:
         try:
-            built[name] = _BUILDERS[name](seed, m, n).rows
+            done[name] = jobs[name]()
         except Exception as exc:
-            built[name] = exc
+            done[name] = exc
             break
-    return built
+    return done
 
 
-def _build_forked(child, own, seed, m: int, n: int) -> dict:
-    """_build_routes of both lists: ``child`` in a forked child, ``own`` here.
+def _run_forked(child, own, jobs) -> dict:
+    """_run_jobs of both lists: ``child`` in a forked child, ``own`` here.
 
     The child sends its result back through a pipe, writes nothing else and
     leaves only by os._exit.
     """
-    import pickle  # only --algo all needs it, so startup does not pay for it
+    import pickle  # only the forking commands need it, so startup does not pay for it
 
     read, write = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: build the child's share here as well
+    except OSError:  # no process to spare: run the child's share here as well
         os.close(read)
         os.close(write)
-        return {**_build_routes(own, seed, m, n), **_build_routes(child, seed, m, n)}
+        return {**_run_jobs(own, jobs), **_run_jobs(child, jobs)}
     if pid == 0:
         code = 1
         try:
             os.close(read)
             with os.fdopen(write, "wb") as out:
-                pickle.dump(_build_routes(child, seed, m, n), out, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(_run_jobs(child, jobs), out, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
     os.close(write)
     stream = os.fdopen(read, "rb")
     try:
-        built = _build_routes(own, seed, m, n)
+        done = _run_jobs(own, jobs)
         try:
-            built.update(pickle.load(stream))
+            done.update(pickle.load(stream))
         except (EOFError, pickle.UnpicklingError):
             raise ComptriError(f"the process building {', '.join(child)} sent no result")
     finally:
         # closed first, so that a child blocked on a full pipe fails its write and exits
         stream.close()
         os.waitpid(pid, 0)
-    return built
+    return done
 
 
-def _build_all(seed, m: int, n: int) -> dict:
-    """Every route's rows in _BUILDERS order, or the first failure in that order.
+def _run_in_order(names, child_names, jobs):
+    """Yields (name, result) of each job in ``names`` order, and raises the
+    first failure in that order where its result would be.
 
-    With os.fork and more than one usable CPU, a forked child builds the
-    _CHILD_ROUTES while this process builds the rest; otherwise this process
-    builds all four.  Each side stops at its own first failure, so the first
-    failure in _BUILDERS order is the one an in-process build would raise.
+    With os.fork and more than one usable CPU, a forked child runs the names
+    in ``child_names`` while this process runs the rest, when both sides have
+    some; otherwise this process runs them all.  Each side stops at its own
+    first failure, so the first failure in ``names`` order is the one an
+    in-process run would raise.
     """
     forked = hasattr(os, "fork") and _usable_cpus() > 1
-    child = [name for name in _BUILDERS if forked and name in _CHILD_ROUTES]
-    own = [name for name in _BUILDERS if name not in child]
-    built = _build_forked(child, own, seed, m, n) if child else _build_routes(own, seed, m, n)
-    triangles = {}
-    for name in _BUILDERS:
+    child = [name for name in names if forked and name in child_names]
+    own = [name for name in names if name not in child]
+    done = _run_forked(child, own, jobs) if child and own else _run_jobs(names, jobs)
+    for name in names:
         # a side that stopped early stopped at an earlier name, which raises first
-        if isinstance(built[name], Exception):
-            raise built[name]
-        triangles[name] = built[name]
-    return triangles
+        if isinstance(done[name], Exception):
+            raise done[name]
+        yield name, done[name]
 
 
 def _cmd_triangle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     seed, seed_repr, n = _resolve_seed(args, parser)
     if args.algo == "all":
-        triangles = _build_all(seed, args.m, n)
+        jobs = {name: lambda build=build: build(seed, args.m, n).rows
+                for name, build in _BUILDERS.items()}
+        triangles = dict(_run_in_order(_BUILDERS, _CHILD_ROUTES, jobs))
         rows = triangles["recurrence"]
         # whole triangles compare at once; entries are scanned only when one differs
         if any(other != rows for other in triangles.values()):
@@ -278,8 +287,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                 f"--max must be at least {least}: the {name} suite compares nothing below it"
             )
     results = []
-    for name in names:
-        result = suites[name]()
+    for name, result in _run_in_order(names, _CHILD_SUITES, suites):
         results.append(result)
         sys.stdout.write(f"{name}: {result.checks} checks, {len(result.failures)} failures\n")
         for line in result.failures[:10]:

@@ -7,7 +7,9 @@ at their own bounds.  :func:`suites` names the CLI's suites and their
 default bounds.
 
 Sweeps call the checkers and builders through this module's names, so a
-tracer that replaces a module attribute sees every call.
+tracer that replaces a module attribute sees every call made in its own
+process.  ``comptri verify`` runs some suites in a forked child (see
+:mod:`comptri.cli`), and such a tracer does not see the calls made there.
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ def depth_one_expansion(n_max: int):
         base = triangle_recurrence(f0, 1, n_max)
         for m in DEPTHS:
             fm = iterate_invert(f0, m)
-            for n in range(1, n_max + 1):
-                expansion = sum(m ** (i - 1) * base.entry(n, i) for i in range(1, n + 1))
+            for n, row in enumerate(base.rows, start=1):
+                expansion = sum(m**i * c for i, c in enumerate(row))
                 yield expansion == fm(n) or (
                     f"{preset.value} m={m} n={n}: depth-1 expansion != transform"
                 )
@@ -219,7 +221,7 @@ LEAST_CAP = {"chebyshev": 2, "word-binomial": 2}
 
 
 def suites(cap: int | None = None, budget: int = DEFAULT_BUDGET) -> dict[str, Callable[[], Sweep]]:
-    """The ``comptri verify`` suites in run order, each ready to run.
+    """The ``comptri verify`` suites in report order, each ready to run.
 
     ``cap`` replaces every suite's main sweep bound, which is the suite's
     default when None; ``budget`` bounds each word space the word-counting

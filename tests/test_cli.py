@@ -468,7 +468,7 @@ import contextlib, io, json, sys
 import comptri
 from comptri import cli
 cli.build_parser()
-# pickle is imported by `triangle --algo all` alone, so startup does not pay for it
+# pickle is imported only by the calls that fork, so startup does not pay for it
 report = [sorted({"numpy", "pickle"} & set(sys.modules))]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -503,7 +503,9 @@ def test_verify_single_suite(capsys):
     assert err == ""
 
 
-def test_verify_default_bounds_output(capsys):
+@pytest.mark.parametrize("path", BUILD_PATHS)
+def test_verify_default_bounds_output(capsys, monkeypatch, path):
+    path(monkeypatch)
     assert run(capsys, "verify") == (
         0,
         "row-sums: 1800 checks, 0 failures\n"
@@ -518,7 +520,9 @@ def test_verify_default_bounds_output(capsys):
     )
 
 
-def test_verify_all_suites_small(capsys):
+@pytest.mark.parametrize("path", BUILD_PATHS)
+def test_verify_all_suites_small(capsys, monkeypatch, path):
+    path(monkeypatch)
     assert run(capsys, "verify", "--max", "6") == (
         0,
         "row-sums: 360 checks, 0 failures\n"
@@ -531,6 +535,117 @@ def test_verify_all_suites_small(capsys):
         "PASS: 885 checks, 0 failures\n",
         "",
     )
+
+
+@pytest.mark.parametrize("path", BUILD_PATHS)
+def test_verify_stops_at_the_word_budget(capsys, monkeypatch, path):
+    # chebyshev, a suite of this process, fails after the child's suites
+    path(monkeypatch)
+    assert run(capsys, "verify", "--max", "6", "--budget", "20") == (
+        3,
+        "row-sums: 360 checks, 0 failures\n"
+        "binomial: 105 checks, 0 failures\n"
+        "bell: 6 checks, 0 failures\n"
+        "pascal: 54 checks, 0 failures\n"
+        "closed-forms: 336 checks, 0 failures\n",
+        "error: 3**3 words exceeds the budget 20\n",
+    )
+    assert_no_child_left()
+
+
+# the sweep each suite runs first, by its name in comptri.verify
+SUITE_SWEEPS = {
+    "row-sums": "row_sums",
+    "binomial": "binomial_identities",
+    "bell": "bell_identity",
+    "pascal": "pascal_relations",
+    "closed-forms": "closed_forms",
+    "chebyshev": "chebyshev",
+    "word-binomial": "word_binomial",
+}
+
+
+def test_every_suite_has_its_sweep_and_every_forked_name_exists():
+    assert list(SUITE_SWEEPS) == list(verify.suites())
+    assert set(cli._CHILD_SUITES) < set(verify.suites())
+    assert set(cli._CHILD_ROUTES) < set(cli._BUILDERS)
+
+
+def raise_planted(*args):
+    raise InternalConsistencyError("planted failure")
+
+
+@pytest.mark.parametrize("suite", SUITE_SWEEPS)
+def test_a_suite_failure_reads_as_in_process(capsys, monkeypatch, suite):
+    monkeypatch.setattr(verify, SUITE_SWEEPS[suite], raise_planted)
+    with monkeypatch.context() as inline:
+        no_fork(inline)
+        expected = run(capsys, "verify", "--max", "6")
+    forked(monkeypatch)
+    before = list(verify.suites()).index(suite)
+    assert run(capsys, "verify", "--max", "6") == expected
+    code, out, err = expected
+    assert (code, err) == (2, "error: planted failure\n")
+    assert [line.split(":")[0] for line in out.splitlines()] == list(verify.suites())[:before]
+    assert_no_child_left()
+
+
+def test_a_suite_child_that_sends_nothing_is_an_error(capsys, monkeypatch):
+    def die(*args):
+        os._exit(1)
+
+    monkeypatch.setattr(verify, SUITE_SWEEPS[cli._CHILD_SUITES[-1]], die)
+    forked(monkeypatch)
+    assert run(capsys, "verify", "--max", "6") == (
+        2, "", f"error: the process building {', '.join(cli._CHILD_SUITES)} sent no result\n",
+    )
+    assert_no_child_left()
+
+
+VERIFY_PARENT_FAILURE = """
+import json, os, sys
+from comptri import cli, verify
+from comptri.errors import InternalConsistencyError
+planted = {"InternalConsistencyError": InternalConsistencyError, "KeyboardInterrupt": KeyboardInterrupt}
+def fail(*args):
+    raise planted[sys.argv[1]]("planted failure")
+def flood(*args):
+    # distinct strings, since pickle writes a repeated object once
+    return verify.Sweep("flood", 2000, tuple(f"{i:0100}" for i in range(2000)), 0.0)
+verify.row_sums = fail
+for name in sys.argv[2:]:
+    setattr(verify, name, flood)
+cli._usable_cpus = lambda: 2
+try:
+    code = cli.main(["verify", "--max", "6"])
+except KeyboardInterrupt:
+    code = "interrupted"
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(json.dumps([code, left]))
+"""
+
+
+@pytest.mark.parametrize(
+    ("planted", "code", "stderr"),
+    [("InternalConsistencyError", 2, "error: planted failure\n"), ("KeyboardInterrupt", "interrupted", "")],
+    ids=["error", "interrupt"],
+)
+def test_a_parent_suite_failure_leaves_no_child(planted, code, stderr):
+    # each child suite sends 200 kB of failures, more than a pipe buffer holds,
+    # while row-sums fails in this process; a subprocess with a timeout, so a
+    # hang fails here
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", VERIFY_PARENT_FAILURE, planted,
+         *(SUITE_SWEEPS[suite] for suite in cli._CHILD_SUITES)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stderr) == (0, stderr)
+    assert json.loads(proc.stdout) == [code, False]
 
 
 @pytest.mark.parametrize(
