@@ -208,15 +208,21 @@ def test_a_child_that_sends_nothing_is_an_error(capsys, monkeypatch):
 
 PARENT_FAILURE = """
 import json, os, sys
-from comptri import cli
+from comptri import cli, verify
 from comptri.errors import InternalConsistencyError
 planted = {"InternalConsistencyError": InternalConsistencyError, "KeyboardInterrupt": KeyboardInterrupt}
-def fail(seed, m, n):
+def fail(*args):
     raise planted[sys.argv[1]]("planted failure")
+def flood(*args):
+    # distinct strings, since pickle writes a repeated object once
+    return verify.Sweep("flood", 2000, tuple(f"{i:0100}" for i in range(2000)), 0.0)
 cli._BUILDERS["recurrence"] = fail
+verify.row_sums = fail
+for name in sys.argv[3:]:
+    setattr(verify, name, flood)
 cli._usable_cpus = lambda: 2
 try:
-    code = cli.main(["triangle", "--seed", sys.argv[2], "--m", "2", "--N", "64", "--algo", "all"])
+    code = cli.main(json.loads(sys.argv[2]))
 except KeyboardInterrupt:
     code = "interrupted"
 try:
@@ -228,21 +234,35 @@ print(json.dumps([code, left]))
 """
 
 
-@pytest.mark.parametrize(
+def run_with_a_parent_failure(planted, argv, *floods):
+    """(stderr, [exit code or "interrupted", whether a child is left]) of ``argv``
+    in a subprocess where the recurrence route and the row-sums suite raise
+    ``planted`` and each sweep named in ``floods`` returns 200 kB of failures.
+
+    The subprocess has a timeout: a parent that waits for a child blocked on
+    a full pipe hangs there instead of failing.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", PARENT_FAILURE, planted, json.dumps(argv), *floods],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr, json.loads(proc.stdout)
+
+
+PLANTED_IN_PARENT = pytest.mark.parametrize(
     ("planted", "code", "stderr"),
     [("InternalConsistencyError", 2, "error: planted failure\n"), ("KeyboardInterrupt", "interrupted", "")],
     ids=["error", "interrupt"],
 )
+
+
+@PLANTED_IN_PARENT
 def test_a_parent_route_failure_leaves_no_child(planted, code, stderr):
-    # a subprocess with a timeout: a parent that waits for a child blocked on a
-    # full pipe hangs here instead of failing
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-c", PARENT_FAILURE, planted, wide_seed()],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
-    assert (proc.returncode, proc.stderr) == (0, stderr)
-    assert json.loads(proc.stdout) == [code, False]
+    # each of the child's triangles pickles to more than a pipe buffer holds
+    argv = ["triangle", "--seed", wide_seed(), "--m", "2", "--N", "64", "--algo", "all"]
+    assert run_with_a_parent_failure(planted, argv) == (stderr, [code, False])
 
 
 def bell_plus_one(entries):
@@ -602,50 +622,11 @@ def test_a_suite_child_that_sends_nothing_is_an_error(capsys, monkeypatch):
     assert_no_child_left()
 
 
-VERIFY_PARENT_FAILURE = """
-import json, os, sys
-from comptri import cli, verify
-from comptri.errors import InternalConsistencyError
-planted = {"InternalConsistencyError": InternalConsistencyError, "KeyboardInterrupt": KeyboardInterrupt}
-def fail(*args):
-    raise planted[sys.argv[1]]("planted failure")
-def flood(*args):
-    # distinct strings, since pickle writes a repeated object once
-    return verify.Sweep("flood", 2000, tuple(f"{i:0100}" for i in range(2000)), 0.0)
-verify.row_sums = fail
-for name in sys.argv[2:]:
-    setattr(verify, name, flood)
-cli._usable_cpus = lambda: 2
-try:
-    code = cli.main(["verify", "--max", "6"])
-except KeyboardInterrupt:
-    code = "interrupted"
-try:
-    os.waitpid(-1, os.WNOHANG)
-    left = True
-except ChildProcessError:
-    left = False
-print(json.dumps([code, left]))
-"""
-
-
-@pytest.mark.parametrize(
-    ("planted", "code", "stderr"),
-    [("InternalConsistencyError", 2, "error: planted failure\n"), ("KeyboardInterrupt", "interrupted", "")],
-    ids=["error", "interrupt"],
-)
+@PLANTED_IN_PARENT
 def test_a_parent_suite_failure_leaves_no_child(planted, code, stderr):
-    # each child suite sends 200 kB of failures, more than a pipe buffer holds,
-    # while row-sums fails in this process; a subprocess with a timeout, so a
-    # hang fails here
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-c", VERIFY_PARENT_FAILURE, planted,
-         *(SUITE_SWEEPS[suite] for suite in cli._CHILD_SUITES)],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
-    assert (proc.returncode, proc.stderr) == (0, stderr)
-    assert json.loads(proc.stdout) == [code, False]
+    # each child suite sends 200 kB of failures while row-sums fails here
+    floods = [SUITE_SWEEPS[suite] for suite in cli._CHILD_SUITES]
+    assert run_with_a_parent_failure(planted, ["verify", "--max", "6"], *floods) == (stderr, [code, False])
 
 
 @pytest.mark.parametrize(
