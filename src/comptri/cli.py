@@ -13,12 +13,16 @@ else os.cpu_count()); otherwise this process does all the work.  The fork
 costs about 2-3 ms per call, so at N=64 on a wide seed the call takes about
 the time of its slower half instead of the sum.  The output, the exit code
 and the reported failure are those of an in-process run.
+
+Startup imports only what every command needs.  ``json`` is imported by the
+``--format json`` branches, ``pickle`` by the commands that fork, and numpy
+by word enumeration (see :mod:`comptri.words`), so a csv ``transform`` loads
+none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Sequence
@@ -113,6 +117,8 @@ def _emit_sequence(seed_repr, m: int, n: int, values: Sequence[int], fmt: str) -
     if fmt == "csv":
         return ",".join(str(v) for v in values) + "\n"
     if fmt == "json":
+        import json
+
         doc = {"seed": seed_repr, "m": m, "N": n, "values": [str(v) for v in values]}
         return json.dumps(doc) + "\n"
     return "".join(f"{i} {v}\n" for i, v in enumerate(values, start=1))
@@ -120,6 +126,8 @@ def _emit_sequence(seed_repr, m: int, n: int, values: Sequence[int], fmt: str) -
 
 def _emit_triangle(seed_repr, m: int, n: int, rows, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         doc = {
             "seed": seed_repr,
             "m": m,

@@ -8,8 +8,8 @@ generous index range still vanishes exactly where the triangle does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .records import Record, set_field
 from .sequences import Preset, make_seed
 from .triangle import triangle_recurrence
 
@@ -65,15 +65,17 @@ def closed_form(preset: Preset | str, m: int, n: int, k: int) -> int:
         )
 
 
-@dataclass(frozen=True)
-class FormCheck:
-    """One comparison of a triangle entry against its closed form."""
+class FormCheck(Record):
+    """One comparison of a triangle entry against its closed form; immutable and hashable."""
 
-    m: int
-    n: int
-    k: int
-    engine: int
-    formula: int
+    __slots__ = ("m", "n", "k", "engine", "formula")
+
+    def __init__(self, m: int, n: int, k: int, engine: int, formula: int) -> None:
+        set_field(self, "m", m)
+        set_field(self, "n", n)
+        set_field(self, "k", k)
+        set_field(self, "engine", engine)
+        set_field(self, "formula", formula)
 
     @property
     def ok(self) -> bool:

@@ -2,36 +2,43 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from operator import mul
 
 from .errors import DimensionError
+from .records import Record, set_field
 
 
-@dataclass(frozen=True)
-class LowerTriangularMatrix:
+class LowerTriangularMatrix(Record):
     """A square lower-triangular integer matrix stored as ragged rows.
 
     ``rows[i - 1][j - 1]`` holds entry (i, j) for 1 <= j <= i; entries above
     the diagonal are zero by construction and never stored.  Entries are
     ``int`` and never ``bool``.  The triangle builders return this type, with
-    entry (n, k) equal to c(n, k).
+    entry (n, k) equal to c(n, k).  Instances are immutable and hashable.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        try:
+            rows = tuple(tuple(r) for r in rows)
+        except TypeError:
+            raise DimensionError(f"rows must be a sequence of integer rows, got {rows!r}") from None
         if not rows:
             raise DimensionError("a matrix needs at least order 1")
+        # plain int entries pass on the set of their types, built in C; any
+        # others are scanned entry by entry, which names the first bad one
+        plain = set(map(type, chain.from_iterable(rows))) == {int}
         for i, row in enumerate(rows, start=1):
             if len(row) != i:
                 raise DimensionError(f"row {i} must have {i} entries, got {len(row)}")
-            for v in row:
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise DimensionError(f"entries must be integers, got {v!r}")
-        object.__setattr__(self, "rows", rows)
+            if not plain:
+                for v in row:
+                    if isinstance(v, bool) or not isinstance(v, int):
+                        raise DimensionError(f"entries must be integers, got {v!r}")
+        set_field(self, "rows", rows)
 
     @property
     def order(self) -> int:

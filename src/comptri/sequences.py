@@ -28,10 +28,10 @@ work starts, and refuses a run whose output would be too large to print.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidSeedError, OutputSizeError
+from .records import Record, set_field
 
 # str() of an int refuses more than 4300 decimal digits (about 14 300 bits)
 MAX_ENTRY_BITS = 12_000
@@ -64,25 +64,30 @@ def _preset_value(preset: Preset, i: int) -> int:
         return 1 if i in (2, 3) else 0
 
 
-@dataclass(frozen=True)
-class ArithmeticFunction:
+class ArithmeticFunction(Record):
     """A finite prefix f(1..N) of a nonnegative integer sequence.
 
     Values are 1-based: f(n) is ``values[n - 1]``.  Instances are immutable
     and hashable.
     """
 
-    values: tuple[int, ...]
-    label: str = ""
+    __slots__ = ("values", "label")
 
-    def __post_init__(self) -> None:
-        vals = tuple(self.values)
+    def __init__(self, values: tuple[int, ...], label: str = "") -> None:
+        try:
+            vals = tuple(values)
+        except TypeError:
+            raise InvalidSeedError(f"values must be a sequence of integers, got {values!r}") from None
         if not vals:
             raise InvalidSeedError("an arithmetic function needs at least f(1)")
-        for v in vals:
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise InvalidSeedError(f"entries must be nonnegative integers, got {v!r}")
-        object.__setattr__(self, "values", vals)
+        # plain nonnegative ints pass on their set of types and their minimum, in
+        # C; anything else is scanned entry by entry, which names the first bad one
+        if set(map(type, vals)) != {int} or min(vals) < 0:
+            for v in vals:
+                if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                    raise InvalidSeedError(f"entries must be nonnegative integers, got {v!r}")
+        set_field(self, "values", vals)
+        set_field(self, "label", label)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -15,7 +15,6 @@ process.  ``comptri verify`` runs some suites in a forked child (see
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -28,6 +27,7 @@ from .identities import (
     check_word_binomial,
 )
 from .pascal import mat_mul, mat_pow, pascal_lower, shifted_pascal_inverse
+from .records import Record, set_field
 from .sequences import ArithmeticFunction, Preset, iterate_invert, make_seed
 from .triangle import row_sum, transform_via_triangle, triangle_recurrence
 from .words import DEFAULT_BUDGET, oracle_row
@@ -35,14 +35,19 @@ from .words import DEFAULT_BUDGET, oracle_row
 DEPTHS = range(1, 6)
 
 
-@dataclass(frozen=True)
-class Sweep:
-    """What one sweep did: its name, comparison count, failures and run time."""
+class Sweep(Record):
+    """What one sweep did: its name, comparison count, failures and run time.
 
-    name: str
-    checks: int
-    failures: tuple[str, ...]
-    elapsed_s: float
+    Instances are immutable and hashable.
+    """
+
+    __slots__ = ("name", "checks", "failures", "elapsed_s")
+
+    def __init__(self, name: str, checks: int, failures: tuple[str, ...], elapsed_s: float) -> None:
+        set_field(self, "name", name)
+        set_field(self, "checks", checks)
+        set_field(self, "failures", failures)
+        set_field(self, "elapsed_s", elapsed_s)
 
 
 def _sweep(comparisons: Callable[..., Iterator[bool | str]]) -> Callable[..., Sweep]:

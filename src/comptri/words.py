@@ -34,11 +34,11 @@ instead of running forever.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import EnumerationBudgetError
+from .records import Record, set_field
 from .sequences import Preset
 
 # numpy is imported by the functions that enumerate words, on first use:
@@ -100,33 +100,57 @@ def check(word: Sequence[int], restriction: Restriction) -> bool:
     raise ValueError(f"unknown restriction {restriction!r}")
 
 
-@dataclass(frozen=True)
-class WordModel:
+def _check_integer(what: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+class WordModel(Record):
     """A word-counting problem: alphabet size, length, restriction, marking.
 
     ``marked_letter`` singles out one letter; ``marked_count`` then fixes how
     many times it must occur.  A marked letter without a count leaves the
-    occurrence count free.
+    occurrence count free.  Instances are immutable and hashable.
     """
 
-    alphabet: int
-    length: int
-    restriction: Restriction = Restriction.NONE
-    marked_letter: int | None = None
-    marked_count: int | None = None
+    __slots__ = ("alphabet", "length", "restriction", "marked_letter", "marked_count")
 
-    def __post_init__(self) -> None:
-        if self.alphabet < 1:
+    def __init__(
+        self,
+        alphabet: int,
+        length: int,
+        restriction: Restriction = Restriction.NONE,
+        marked_letter: int | None = None,
+        marked_count: int | None = None,
+    ) -> None:
+        # a plain int passes on its type alone, so a valid model makes no call
+        if type(alphabet) is not int:
+            _check_integer("alphabet size", alphabet)
+        if alphabet < 1:
             raise ValueError("alphabet size must be >= 1")
-        if self.length < 0:
+        if type(length) is not int:
+            _check_integer("length", length)
+        if length < 0:
             raise ValueError("length must be >= 0")
-        if self.marked_letter is not None and not 0 <= self.marked_letter < self.alphabet:
-            raise ValueError("marked letter must belong to the alphabet")
-        if self.marked_count is not None:
-            if self.marked_letter is None:
+        if type(restriction) is not Restriction:
+            raise ValueError(f"unknown restriction {restriction!r}")
+        if marked_letter is not None:
+            if type(marked_letter) is not int:
+                _check_integer("marked letter", marked_letter)
+            if not 0 <= marked_letter < alphabet:
+                raise ValueError("marked letter must belong to the alphabet")
+        if marked_count is not None:
+            if type(marked_count) is not int:
+                _check_integer("marked count", marked_count)
+            if marked_letter is None:
                 raise ValueError("a marked count needs a marked letter")
-            if self.marked_count < 0:
+            if marked_count < 0:
                 raise ValueError("marked count must be >= 0")
+        set_field(self, "alphabet", alphabet)
+        set_field(self, "length", length)
+        set_field(self, "restriction", restriction)
+        set_field(self, "marked_letter", marked_letter)
+        set_field(self, "marked_count", marked_count)
 
 
 def _check_budget(alphabet: int, length: int, budget: int) -> None:

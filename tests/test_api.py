@@ -61,6 +61,22 @@ def test_no_unused_module_imports():
     assert unused == []
 
 
+def test_no_module_imports_dataclasses():
+    # the records are plain slotted classes: importing dataclasses would cost
+    # every command its import of inspect, ast and tokenize at startup
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
 def test_no_unused_private_functions():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     referenced = set()

@@ -484,35 +484,49 @@ def test_huge_depth_returns_at_once(argv, stdout):
 
 
 STARTUP_CHECK = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 import comptri
 from comptri import cli
 cli.build_parser()
-# pickle is imported only by the calls that fork, so startup does not pay for it
-report = [sorted({"numpy", "pickle"} & set(sys.modules))]
-for argv in json.loads(sys.argv[1]):
+# the records are plain classes, and pickle, json and numpy are imported only by
+# the calls that fork, print json and enumerate words, so startup loads none of them
+report = [sorted({"dataclasses", "inspect", "json", "numpy", "pickle"} & set(sys.modules))]
+# each argument is one command line split at its spaces, so reading them imports nothing
+for line in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    report.append([code, "numpy" in sys.modules])
+        code = cli.main(line.split())
+    report.append([code, "numpy" in sys.modules, "json" in sys.modules])
+import json
 print(json.dumps(report))
 """
 
 
 def test_only_word_enumeration_imports_numpy():
     # a fresh interpreter, so nothing this test session imported counts
-    argvs = [
-        ["transform", "--preset", "fib", "--N", "12"],
-        ["triangle", "--preset", "natural", "--N", "12", "--m", "2", "--algo", "all"],
-        ["verify", "--suite", "bell"],
-        ["oracle", "--preset", "fib", "--N", "6"],
+    lines = [
+        "transform --preset fib --N 12",
+        "triangle --preset natural --N 12 --m 2 --algo all",
+        "triangle --preset fib --N 6 --format bfile",
+        "verify --suite bell",
+        "transform --preset fib --N 12 --format json",
+        "oracle --preset fib --N 6",
     ]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-c", STARTUP_CHECK, json.dumps(argvs)],
+        [sys.executable, "-c", STARTUP_CHECK, *lines],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.stderr == ""
-    assert json.loads(proc.stdout) == [[], [0, False], [0, False], [0, False], [0, True]]
+    # json is loaded by the --format json call and numpy by the oracle, each first there
+    assert json.loads(proc.stdout) == [
+        [],
+        [0, False, False],
+        [0, False, False],
+        [0, False, False],
+        [0, False, False],
+        [0, False, True],
+        [0, True, True],
+    ]
 
 
 def test_verify_single_suite(capsys):

@@ -3,8 +3,12 @@
 import pytest
 
 from comptri import (
+    ArithmeticFunction,
+    DimensionError,
     InvalidSeedError,
+    LowerTriangularMatrix,
     Restriction as R,
+    WordModel,
     bell_table,
     check,
     check_binomial_inversion,
@@ -55,6 +59,24 @@ GUARDS = {
     ),
     "mark_histogram-unknown-restriction": (
         lambda: mark_histogram(2, 3, "none", 1), ValueError, "unknown restriction 'none'"
+    ),
+    "ArithmeticFunction-not-a-sequence": (
+        lambda: ArithmeticFunction(5), InvalidSeedError, "values must be a sequence of integers, got 5"
+    ),
+    "LowerTriangularMatrix-not-rows": (
+        lambda: LowerTriangularMatrix(5), DimensionError, "rows must be a sequence of integer rows, got 5"
+    ),
+    "WordModel-fractional-length": (
+        lambda: WordModel(3, 2.5), ValueError, "length must be an integer, got 2.5"
+    ),
+    "WordModel-string-alphabet": (
+        lambda: WordModel("3", 2), ValueError, "alphabet size must be an integer, got '3'"
+    ),
+    "WordModel-bool-marked-letter": (
+        lambda: WordModel(3, 2, R.NONE, True), ValueError, "marked letter must be an integer, got True"
+    ),
+    "WordModel-unknown-restriction": (
+        lambda: WordModel(3, 2, "none"), ValueError, "unknown restriction 'none'"
     ),
 }
 
