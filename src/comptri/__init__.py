@@ -60,8 +60,10 @@ from .words import (
     composition_to_word,
     count_words,
     mark_histogram,
+    mark_histograms,
     oracle_model,
     oracle_row,
+    oracle_rows,
     word_to_composition,
 )
 
@@ -101,10 +103,12 @@ __all__ = [
     "iterate_invert",
     "make_seed",
     "mark_histogram",
+    "mark_histograms",
     "mat_mul",
     "mat_pow",
     "oracle_model",
     "oracle_row",
+    "oracle_rows",
     "partial_bell",
     "pascal_lower",
     "row_sum",

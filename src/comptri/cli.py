@@ -37,7 +37,7 @@ from .triangle import (
     triangle_pascal,
     triangle_recurrence,
 )
-from .words import DEFAULT_BUDGET, oracle_row
+from .words import DEFAULT_BUDGET, oracle_rows
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -267,9 +267,12 @@ def _cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     tri = triangle_recurrence(seed, args.m, args.N)
     lines = ["n,k,engine,oracle,match"]
     all_match = True
+    # one growth of the word space serves every row; each row's budget is
+    # checked before any work on it
+    rows = oracle_rows(preset, args.m, range(start, args.N + 1), args.budget)
     for n in range(start, args.N + 1):
         try:
-            counts = oracle_row(preset, args.m, n, args.budget)
+            counts = next(rows)
         except EnumerationBudgetError as exc:
             sys.stdout.write("\n".join(lines) + "\n")
             sys.stderr.write(f"budget exceeded at n={n}, k=1..{n}: {exc}\n")

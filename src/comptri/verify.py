@@ -30,7 +30,7 @@ from .pascal import mat_mul, mat_pow, pascal_lower, shifted_pascal_inverse
 from .records import Record, set_field
 from .sequences import ArithmeticFunction, Preset, iterate_invert, make_seed
 from .triangle import row_sum, transform_via_triangle, triangle_recurrence
-from .words import DEFAULT_BUDGET, oracle_row
+from .words import DEFAULT_BUDGET, oracle_rows
 
 DEPTHS = range(1, 6)
 
@@ -199,9 +199,8 @@ def chebyshev(total: int, budget: int = DEFAULT_BUDGET):
     """Chebyshev coefficients, closed form and word count agree for n + k <= total.
 
     One enumeration of the ternary words of length n-1, counted by twos,
-    serves every k."""
-    for n in range(1, total):
-        by_twos = oracle_row(Preset.ONES, 2, n, budget)
+    serves every k, and one growth of the word space serves every n."""
+    for n, by_twos in enumerate(oracle_rows(Preset.ONES, 2, range(1, total), budget), start=1):
         for k in range(1, min(n, total - n) + 1):
             yield check_chebyshev(n, k, by_twos[k - 1]) or (
                 f"Chebyshev coefficient check fails at n={n} k={k}"
@@ -212,9 +211,9 @@ def chebyshev(total: int, budget: int = DEFAULT_BUDGET):
 def word_binomial(total: int, budget: int = DEFAULT_BUDGET):
     """C(n+k-1, 2k-1) equals the 01-avoiding ternary word count for n + k <= total.
 
-    One enumeration per n serves every k; no word of length n-1 has k-1 > n-1 twos."""
-    for n in range(1, total):
-        by_twos = oracle_row(Preset.NATURAL, 1, n, budget)
+    One enumeration per n serves every k, and one growth of the word space
+    serves every n; no word of length n-1 has k-1 > n-1 twos."""
+    for n, by_twos in enumerate(oracle_rows(Preset.NATURAL, 1, range(1, total), budget), start=1):
         for k in range(1, total - n + 1):
             words = by_twos[k - 1] if k <= n else 0
             yield check_word_binomial(n, k, words) or f"word-count identity fails at n={n} k={k}"

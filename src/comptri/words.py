@@ -12,30 +12,35 @@ spec; enumeration tests each word's masks with a few whole-array uint ops,
 on the narrowest unsigned type that holds bit L (the NO_ODD_ZERO_RUNS
 carry), so short words move few bytes.
 
-The last letters of a word, as many as fit in ``_CHUNK`` rows, form a
-suffix block built once per space.  The letters below its leading one are
-grown letter by letter with the rows grouped by mark count: group j, the
-words with j marked letters, is one run of rows, and a list of group
-offsets says where each run starts.  A new letter other than the marked one
-keeps a row in its group; the marked letter moves it up one.  The leading
-letter is an axis of its own, the marked letter last, so no row carries a
-mark count.  Each chunk is one prefix of the remaining letters with its own
-mark count: it ORs its masks into the block's, and the passing words of
-each group are counted with ``count_nonzero``, once under the other leading
-letters and once under the marked one, into the histogram entries of their
-mark counts plus the prefix's.  Prefixes run over the block one ``_TILE`` of
-rows at a time, which stays in cache.  Each word is still built from its
-own letters and tested on its own.  A one-letter alphabet has one word,
-0^L, tested as one pair of masks without the letter-by-letter growth.
-``budget`` bounds A**length; larger spaces raise EnumerationBudgetError
-instead of running forever.
+The last letters of every word are grown letter by letter, with the rows
+grouped by mark count: group j, the words with j marked letters, is one run
+of rows, and a list of group offsets says where each run starts.  A new
+letter other than the marked one keeps a row in its group; the marked letter
+moves it up one.  ``mark_histograms`` grows these rows once for a run of
+lengths that does not decrease, and every length reads them.  A space of at
+most ``_TILE`` words is the grown rows of its length, tested whole and
+counted group by group.  A larger space ends in a suffix block of as many
+letters as fit in ``_CHUNK`` rows: the grown rows of the letters below its
+leading letter, under every leading letter.  The leading letter is an axis
+of its own, the marked letter last, so no row carries a mark count.  Each
+chunk is one prefix of the remaining letters with its own mark count: it
+ORs its masks into the block's, and the passing words of each group are
+counted with ``count_nonzero``, once under the other leading letters and
+once under the marked one, into the histogram entries of their mark counts
+plus the prefix's.  Prefixes run over the block one ``_TILE`` of rows at a
+time, which stays in cache.  Each word is still built from its own letters
+and tested on its own, once per length asked for; ``mark_histogram`` is the
+one-length case.  A one-letter alphabet has one word, 0^L, tested as one
+pair of masks without the letter-by-letter growth.  ``budget`` bounds
+A**length, for each length before any work on it; larger spaces raise
+EnumerationBudgetError instead of running forever.
 """
 
 from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import EnumerationBudgetError
 from .records import Record, set_field
@@ -203,11 +208,12 @@ def _add_letters(rows, lead, bit: int):
     return out, [0] + [stay * b + up * a for a, b in zip(offsets, offsets[1:])] + [n * offsets[-1]]
 
 
-def _grouped_rows(bits: range, alphabet: int, marked_letter: int, dtype):
-    """The masks and group offsets of every word on ``bits``, grown letter by letter."""
+def _grouped_rows(bits: range, alphabet: int, marked_letter: int, dtype, rows=None):
+    """``rows``, by default the empty word's, with a letter added at each of ``bits``."""
     import numpy as np
 
-    rows = np.zeros((2, 1), dtype), [0, 1]
+    if rows is None:
+        rows = np.zeros((2, 1), dtype), [0, 1]
     # with no letters to add the alphabet may be any size, so it gets no table
     lead = _lead(0, alphabet, marked_letter, dtype) if bits else None
     for bit in bits:
@@ -215,23 +221,48 @@ def _grouped_rows(bits: range, alphabet: int, marked_letter: int, dtype):
     return rows
 
 
-def _suffix_blocks(alphabet: int, width: int, marked_letter: int, dtype):
+def _suffix_blocks(below, alphabet: int, width: int, marked_letter: int):
     """The rows of the last ``width`` letters of every word, in blocks.
 
-    A block is (masks, offsets, has_marked).  ``masks`` has shape (2, n, N):
-    the zero and one masks of n leading letters, the marked letter last if
-    ``has_marked``, ahead of the N words of the letters below, which
-    ``offsets`` groups by mark count.  An alphabet above _CHUNK has width 1,
-    and its letter range is cut into blocks of _CHUNK rows.
+    ``below`` is the grouped rows of the ``width - 1`` letters under the
+    leading one.  A block is (masks, offsets, has_marked).  ``masks`` has
+    shape (2, n, N): the zero and one masks of n leading letters, the marked
+    letter last if ``has_marked``, ahead of the N words below, which
+    ``offsets`` groups by mark count.  The leading letters are cut into
+    blocks of at most _CHUNK rows; above _CHUNK letters each block has one
+    row below.
     """
-    below, offsets = _grouped_rows(range(width - 1), alphabet, marked_letter, dtype)
-    if width == 0:
-        yield below[:, None, :], offsets, False
-        return
-    step = _CHUNK // below.shape[1]
+    masks, offsets = below
+    step = _CHUNK // masks.shape[1]
     for lo in range(0, alphabet, step):
-        bits, has_marked = _lead(lo, min(lo + step, alphabet), marked_letter, dtype)
-        yield bits[:, :, None] << width - 1 | below[:, None, :], offsets, has_marked
+        bits, has_marked = _lead(lo, min(lo + step, alphabet), marked_letter, masks.dtype)
+        yield bits[:, :, None] << width - 1 | masks[:, None, :], offsets, has_marked
+
+
+def _count_blocks(hist: list[int], blocks, prefixes, length: int, restriction: Restriction) -> None:
+    """Add the passing words of every prefix ahead of every block to ``hist``.
+
+    A prefix is (zero mask, one mask, mark count) as Python ints.  Every
+    prefix runs over one _TILE of a block while it is in cache: a span of
+    the rows below under every leading letter.
+    """
+    import numpy as np
+
+    for masks, offsets, has_marked in blocks:
+        stay = masks.shape[1] - has_marked
+        span = max(1, _TILE // masks.shape[1])
+        for lo in range(0, masks.shape[2], span):
+            zeros, ones = masks[:, :, lo : lo + span]
+            # each group's rows within the span
+            ends = [min(max(end - lo, 0), span) for end in offsets]
+            groups = [(j, a, b) for j, (a, b) in enumerate(zip(ends, ends[1:])) if a < b]
+            for zero, one, shift in prefixes:
+                ok = _passes((zeros | zero).ravel(), (ones | one).ravel(), length, restriction)
+                ok = ok.reshape(zeros.shape)
+                for j, a, b in groups:
+                    hist[j + shift] += int(np.count_nonzero(ok[:stay, a:b]))
+                    if has_marked:
+                        hist[j + shift + 1] += int(np.count_nonzero(ok[stay, a:b]))
 
 
 def _passes(zeros: np.ndarray, ones: np.ndarray, length: int, restriction: Restriction):
@@ -265,6 +296,75 @@ def _passes(zeros: np.ndarray, ones: np.ndarray, length: int, restriction: Restr
     raise ValueError(f"unknown restriction {restriction!r}")
 
 
+def mark_histograms(
+    alphabet: int,
+    lengths: Iterable[int],
+    restriction: Restriction,
+    marked_letter: int,
+    budget: int = DEFAULT_BUDGET,
+) -> Iterator[tuple[int, ...]]:
+    """mark_histogram of each length in ``lengths``, in order, from one growth of the rows.
+
+    The lengths must not decrease.  The grouped rows of the last letters are
+    grown once, as far as the longest length needs, and serve every length.
+    Each length's budget is checked before any work on it, so the lengths
+    that fit are yielded before EnumerationBudgetError is raised at the first
+    that does not.
+    """
+    lengths = list(lengths)
+    if any(length < 0 for length in lengths):
+        raise ValueError("length must be >= 0")
+    if any(a > b for a, b in zip(lengths, lengths[1:])):
+        raise ValueError("lengths must not decrease")
+    if not 0 <= marked_letter < alphabet:
+        raise ValueError("marked letter must belong to the alphabet")
+    import numpy as np
+
+    # the grouped rows of the last ``grown`` letters of every word
+    rows, grown = None, 0
+    for length in lengths:
+        _check_budget(alphabet, length, budget)
+        # the masks also hold bit length, for the carry of the NO_ODD_ZERO_RUNS
+        # test, in the narrowest unsigned type that holds it: uint8 below 8
+        # letters, uint16 below 16, uint32 below 32 and uint64 below 64.  Past
+        # 63 bits they are Python ints, so they cannot wrap.
+        dtype = np.min_scalar_type(1 << length)
+        if alphabet == 1:
+            # the one word, 0**length, is one pair of masks; growing it letter
+            # by letter would copy its group once per letter
+            zeros, ones = np.array([[(1 << length) - 1], [0]], dtype)
+            yield (0,) * length + (int(_passes(zeros, ones, length, restriction)[0]),)
+            continue
+        if rows is not None and rows[0].dtype != dtype:
+            rows = rows[0].astype(dtype), rows[1]
+        if alphabet**length <= _TILE:
+            # a space within one tile is the grown rows, tested whole
+            rows = _grouped_rows(range(grown, length), alphabet, marked_letter, dtype, rows)
+            grown = length
+            (zeros, ones), offsets = rows
+            ok = _passes(zeros, ones, length, restriction)
+            yield tuple(int(np.count_nonzero(ok[a:b])) for a, b in zip(offsets, offsets[1:]))
+            continue
+        # the suffix block holds the most letters with alphabet**width <= _CHUNK,
+        # at least one and at least one past the rows grown so far
+        width = 1
+        while width < length and alphabet ** (width + 1) <= _CHUNK:
+            width += 1
+        width = max(width, grown + 1)
+        rows = _grouped_rows(range(grown, width - 1), alphabet, marked_letter, dtype, rows)
+        grown = width - 1
+        # (zero mask, one mask, mark count) of each prefix, as Python ints
+        heads, offsets = _grouped_rows(range(width, length), alphabet, marked_letter, dtype)
+        zeros, ones = heads.tolist()
+        prefixes = [
+            (zeros[i], ones[i], j) for j in range(len(offsets) - 1) for i in range(offsets[j], offsets[j + 1])
+        ]
+        hist = [0] * (length + 1)
+        blocks = _suffix_blocks(rows, alphabet, width, marked_letter)
+        _count_blocks(hist, blocks, prefixes, length, restriction)
+        yield tuple(hist)
+
+
 def mark_histogram(
     alphabet: int,
     length: int,
@@ -278,53 +378,7 @@ def mark_histogram(
     occurs exactly j times; there are length + 1 entries.  One enumeration
     of the whole space serves every j at once.
     """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if not 0 <= marked_letter < alphabet:
-        raise ValueError("marked letter must belong to the alphabet")
-    _check_budget(alphabet, length, budget)
-    import numpy as np
-
-    hist = [0] * (length + 1)
-    # the masks also hold bit length, for the carry of the NO_ODD_ZERO_RUNS
-    # test, in the narrowest unsigned type that holds it: uint8 below 8
-    # letters, uint16 below 16, uint32 below 32 and uint64 below 64.  Past 63
-    # bits they are Python ints, so they cannot wrap.
-    dtype = np.min_scalar_type(1 << length)
-    if alphabet == 1:
-        # the one word, 0**length, is one pair of masks; growing it letter by
-        # letter would copy its group once per letter
-        zeros, ones = np.array([[(1 << length) - 1], [0]], dtype)
-        hist[length] = int(_passes(zeros, ones, length, restriction)[0])
-        return tuple(hist)
-    # the suffix block holds the most letters with alphabet**width <= _CHUNK, at least one
-    width = min(length, 1)
-    while width < length and alphabet ** (width + 1) <= _CHUNK:
-        width += 1
-    # (zero mask, one mask, mark count) of each prefix, as Python ints
-    heads, offsets = _grouped_rows(range(width, length), alphabet, marked_letter, dtype)
-    zeros, ones = heads.tolist()
-    prefixes = [
-        (zeros[i], ones[i], j) for j in range(len(offsets) - 1) for i in range(offsets[j], offsets[j + 1])
-    ]
-    for masks, offsets, has_marked in _suffix_blocks(alphabet, width, marked_letter, dtype):
-        stay = masks.shape[1] - has_marked
-        # every prefix runs over one tile of the block while it is in cache: a
-        # span of the rows below under every leading letter
-        span = max(1, _TILE // masks.shape[1])
-        for lo in range(0, masks.shape[2], span):
-            zeros, ones = masks[:, :, lo : lo + span]
-            # each group's rows within the span
-            ends = [min(max(end - lo, 0), span) for end in offsets]
-            groups = [(j, a, b) for j, (a, b) in enumerate(zip(ends, ends[1:])) if a < b]
-            for zero, one, shift in prefixes:
-                ok = _passes((zeros | zero).ravel(), (ones | one).ravel(), length, restriction)
-                ok = ok.reshape(zeros.shape)
-                for j, a, b in groups:
-                    hist[j + shift] += int(np.count_nonzero(ok[:stay, a:b]))
-                    if has_marked:
-                        hist[j + shift + 1] += int(np.count_nonzero(ok[stay, a:b]))
-    return tuple(hist)
+    return next(mark_histograms(alphabet, [length], restriction, marked_letter, budget))
 
 
 def count_words(model: WordModel, budget: int = DEFAULT_BUDGET) -> int:
@@ -399,12 +453,27 @@ def oracle_model(preset: Preset | str, m: int, n: int) -> WordModel:
         return WordModel(m + 1, n - 1, Restriction.ZERO_FRAMED_BOUNDED, 1)
 
 
+def oracle_rows(
+    preset: Preset | str, m: int, ns: Iterable[int], budget: int = DEFAULT_BUDGET
+) -> Iterator[tuple[int, ...]]:
+    """c(n, 1..n) for each n in ``ns``, in order, from one run of mark_histograms.
+
+    The n must not decrease.  Every row of a preset and depth has the same
+    alphabet, restriction and marked letter; only the word length changes.
+    """
+    ns = list(ns)
+    models = [oracle_model(preset, m, n) for n in ns]
+    if not models:
+        return
+    first = models[0]
+    lengths = [model.length for model in models]
+    hists = mark_histograms(first.alphabet, lengths, first.restriction, first.marked_letter, budget)
+    for n, model, hist in zip(ns, models, hists):
+        yield tuple(hist[k - 1] if k - 1 <= model.length else 0 for k in range(1, n + 1))
+
+
 def oracle_row(
     preset: Preset | str, m: int, n: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, ...]:
     """c(n, 1..n) for a preset seed, from one enumeration of its word space."""
-    model = oracle_model(preset, m, n)
-    hist = mark_histogram(
-        model.alphabet, model.length, model.restriction, model.marked_letter, budget
-    )
-    return tuple(hist[k - 1] if k - 1 <= model.length else 0 for k in range(1, n + 1))
+    return next(oracle_rows(preset, m, [n], budget))

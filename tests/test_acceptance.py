@@ -17,7 +17,7 @@ from comptri import (
     composition_to_word,
     make_seed,
     oracle_model,
-    oracle_row,
+    oracle_rows,
     triangle_bell,
     triangle_convolution,
     triangle_pascal,
@@ -76,11 +76,9 @@ def test_criterion_04_word_oracle(capsys):
         for m in (1, 2, 3):
             lo, hi = (5, 15) if preset == "ge2" else (1, 13)
             tri = triangle_recurrence(make_seed(preset, hi), m, hi)
-            for n in range(lo, hi + 1):
-                model = oracle_model(preset, m, n)
-                if model.alphabet**model.length > BUDGET:
-                    continue
-                counts = oracle_row(preset, m, n, BUDGET)
+            models = [oracle_model(preset, m, n) for n in range(lo, hi + 1)]
+            ns = [n for n, model in enumerate(models, lo) if model.alphabet**model.length <= BUDGET]
+            for n, counts in zip(ns, oracle_rows(preset, m, ns, BUDGET)):
                 for k in range(1, n + 1):
                     checks += 1
                     if tri.entry(n, k) != counts[k - 1]:

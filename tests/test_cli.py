@@ -331,15 +331,16 @@ def test_oracle_all_match(capsys):
 
 def test_oracle_reports_a_mismatch(capsys, monkeypatch):
     # an oracle one too high at c(4, 2) fails that line and the run, and only them
-    oracle_row = cli.oracle_row
+    oracle_rows = cli.oracle_rows
 
-    def off_by_one(preset, m, n, budget):
-        counts = list(oracle_row(preset, m, n, budget))
-        if n == 4:
-            counts[1] += 1
-        return counts
+    def off_by_one(preset, m, ns, budget):
+        for n, counts in zip(ns, oracle_rows(preset, m, ns, budget)):
+            counts = list(counts)
+            if n == 4:
+                counts[1] += 1
+            yield counts
 
-    monkeypatch.setattr(cli, "oracle_row", off_by_one)
+    monkeypatch.setattr(cli, "oracle_rows", off_by_one)
     code, out, _ = run(capsys, "oracle", "--preset", "fib", "--m", "2", "--N", "5")
     assert code == 1
     lines = out.splitlines()
@@ -367,6 +368,32 @@ def test_oracle_budget_exit(capsys):
     assert code == 3
     assert "budget" in err
     assert out.startswith("n,k,engine,oracle,match")
+
+
+# a budget of 9 words cuts each run after the rows whose space fits it
+BUDGET_CUTS = {
+    "ones": ("1,1,1,1,ok 2,1,2,2,ok 2,2,1,1,ok 3,1,4,4,ok 3,2,4,4,ok 3,3,1,1,ok",
+             "n=4, k=1..4: 3**3"),
+    "fib": ("1,1,1,1,ok 2,1,2,2,ok 2,2,1,1,ok 3,1,3,3,ok 3,2,4,4,ok 3,3,1,1,ok",
+            "n=4, k=1..4: 3**3"),
+    "odd": ("1,1,1,1,ok 2,1,1,1,ok 2,2,1,1,ok 3,1,2,2,ok 3,2,2,2,ok 3,3,1,1,ok",
+            "n=4, k=1..4: 3**3"),
+    "natural": ("1,1,1,1,ok 2,1,3,3,ok 2,2,1,1,ok", "n=3, k=1..3: 4**2"),
+    "ge2": ("4,1,2,2,ok 4,2,1,1,ok 4,3,0,0,ok 4,4,0,0,ok "
+            "5,1,3,3,ok 5,2,2,2,ok 5,3,0,0,ok 5,4,0,0,ok 5,5,0,0,ok", "n=6, k=1..6: 3**3"),
+    "two_three": ("1,1,0,0,ok 2,1,1,1,ok 2,2,0,0,ok 3,1,1,1,ok 3,2,0,0,ok 3,3,0,0,ok",
+                  "n=4, k=1..4: 3**3"),
+}
+
+
+@pytest.mark.parametrize("preset", BUDGET_CUTS)
+def test_oracle_budget_cut_is_golden(capsys, preset):
+    # the rows before the first space over the budget, then that row's line
+    code, out, err = run(capsys, "oracle", "--preset", preset, "--m", "2", "--N", "8", "--budget", "9")
+    rows, cut = BUDGET_CUTS[preset]
+    assert code == 3
+    assert out == "n,k,engine,oracle,match\n" + rows.replace(" ", "\n") + "\n"
+    assert err == f"budget exceeded at {cut} words exceeds the budget 9\n"
 
 
 def test_usage_errors(capsys):

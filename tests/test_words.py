@@ -18,8 +18,10 @@ from comptri import (
     count_words,
     make_seed,
     mark_histogram,
+    mark_histograms,
     oracle_model,
     oracle_row,
+    oracle_rows,
     triangle_recurrence,
     word_to_composition,
 )
@@ -129,7 +131,8 @@ def test_histogram_across_many_tiles(monkeypatch):
 
 
 def test_alphabet_above_chunk_is_sliced(monkeypatch):
-    assert sum(1 for _ in words._suffix_blocks(2**21, 1, 0, np.uint8)) <= 2
+    below = words._grouped_rows(range(0), 2**21, 0, np.uint8)
+    assert sum(1 for _ in words._suffix_blocks(below, 2**21, 1, 0)) <= 2
     assert mark_histogram(2**21, 1, R.NONE, 0, budget=2**21) == (2**21 - 1, 1)
     # below the alphabet size, the chunk cuts the last letter's range into blocks
     monkeypatch.setattr(words, "_CHUNK", 3)
@@ -187,6 +190,100 @@ def test_every_word_mask_verdict_matches_check(monkeypatch, restriction):
                 mark_histogram(alphabet, length, restriction, alphabet - 1)
                 got = [np.concatenate(rows) for rows in zip(*seen)]
                 assert np.array_equal(mask_keys(*got, length), expected)
+
+
+# lengths 0..8 whole, and with gaps and repeats; a run stops where its
+# spaces pass 4**5 words, so only the binary ones reach 8 letters
+LENGTH_RUNS = (range(9), (0, 2, 2, 5, 8), (1, 4, 7, 7), (3, 8))
+
+
+@pytest.mark.parametrize("restriction", list(R))
+@pytest.mark.parametrize(("chunk", "tile"), ((16, 4), (48, 16)))
+def test_histograms_equal_one_length_histograms(monkeypatch, restriction, chunk, tile):
+    # small tiles and chunks make the shared rows serve both whole small spaces
+    # and the rows below a suffix block; at 48/16 a quaternary space of 16
+    # words grows them to the width a chunk holds, so the next block is wider
+    monkeypatch.setattr(words, "_CHUNK", chunk)
+    monkeypatch.setattr(words, "_TILE", tile)
+    for alphabet in range(1, 6):
+        for run in LENGTH_RUNS:
+            lengths = [length for length in run if alphabet**length <= 4**5]
+            for letter in range(alphabet):
+                expected = [mark_histogram(alphabet, length, restriction, letter) for length in lengths]
+                assert list(mark_histograms(alphabet, lengths, restriction, letter)) == expected
+
+
+def test_histograms_slice_an_alphabet_above_chunk(monkeypatch):
+    # the letter range of an alphabet above _CHUNK goes into blocks of at most
+    # _CHUNK letters, and never into one table of the whole alphabet
+    lead, spans = words._lead, []
+
+    def spy(lo, hi, marked_letter, dtype):
+        spans.append(hi - lo)
+        return lead(lo, hi, marked_letter, dtype)
+
+    monkeypatch.setattr(words, "_lead", spy)
+    alphabet = 2**21
+    got = list(mark_histograms(alphabet, [0, 1, 1], R.NONE, 0, budget=alphabet))
+    assert got == [(1,), (alphabet - 1, 1), (alphabet - 1, 1)]
+    assert spans and max(spans) <= words._CHUNK
+
+
+def test_histograms_refuse_decreasing_lengths():
+    with pytest.raises(ValueError, match="must not decrease"):
+        list(mark_histograms(2, [3, 2], R.NONE, 0))
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        list(mark_histograms(2, [-1, 2], R.NONE, 0))
+
+
+def test_histograms_stop_at_the_first_length_over_budget(monkeypatch):
+    # the lengths that fit come out, then the first that does not raises
+    # before any word of it is tested
+    passes, calls = words._passes, []
+
+    def spy(zeros, ones, length, restriction):
+        calls.append(length)
+        return passes(zeros, ones, length, restriction)
+
+    monkeypatch.setattr(words, "_passes", spy)
+    hists = mark_histograms(3, [1, 2, 3, 4, 5], R.ISOLATED_ZEROS, 2, budget=30)
+    for length in (1, 2, 3):
+        assert next(hists) == mark_histogram(3, length, R.ISOLATED_ZEROS, 2)
+    calls.clear()
+    with pytest.raises(EnumerationBudgetError, match=r"^3\*\*4 words exceeds the budget 30$"):
+        next(hists)
+    assert calls == []
+
+
+@pytest.mark.parametrize("restriction", list(R))
+def test_histograms_test_each_word_once_with_its_masks(monkeypatch, restriction):
+    # between two results the rows tested are the words of that length, each
+    # once, with its own masks and verdict; small tiles and chunks send the
+    # short lengths through whole-space tests and the long ones through blocks
+    passes, seen = words._passes, []
+
+    def spy(zeros, ones, length, restriction):
+        ok = passes(zeros, ones, length, restriction)
+        seen.append((length, zeros, ones, ok))
+        return ok
+
+    monkeypatch.setattr(words, "_passes", spy)
+    monkeypatch.setattr(words, "_CHUNK", 16)
+    monkeypatch.setattr(words, "_TILE", 8)
+    for alphabet in (1, 2, 3, 4):
+        lengths = [length for length in (0, 1, 2, 2, 4, 5, 7) if alphabet**length <= 4**5]
+        hists = mark_histograms(alphabet, lengths, restriction, alphabet - 1)
+        for length in lengths:
+            seen.clear()
+            next(hists)
+            assert {call[0] for call in seen} == {length}
+            zeros, ones = all_masks(alphabet, length)
+            verdicts = [
+                check(word, restriction)
+                for word in itertools.product(range(alphabet), repeat=length)
+            ]
+            got = [np.concatenate(rows) for rows in zip(*(call[1:] for call in seen))]
+            assert np.array_equal(mask_keys(*got, length), mask_keys(zeros, ones, np.array(verdicts), length))
 
 
 @pytest.mark.parametrize("alphabet", (1, 2, 3, 4))
@@ -408,6 +505,20 @@ def test_oracle_rows_match_engine(preset, m):
     for n in range(start, n_max + 1):
         engine = tuple(tri.entry(n, k) for k in range(1, n + 1))
         assert oracle_row(preset, m, n) == engine
+
+
+@pytest.mark.parametrize("preset", ("ones", "fib", "odd", "natural", "ge2", "two_three"))
+def test_oracle_rows_equal_one_row_calls(preset):
+    ns = list(range(4 if preset == "ge2" else 1, 10))
+    assert list(oracle_rows(preset, 2, ns)) == [oracle_row(preset, 2, n) for n in ns]
+    assert list(oracle_rows(preset, 2, [])) == []
+    # the rows within the budget come out, then the first row past it raises
+    rows = oracle_rows(preset, 3, ns, budget=4**5)
+    models = [oracle_model(preset, 3, n) for n in ns]
+    fit = [n for n, model in zip(ns, models) if model.alphabet**model.length <= 4**5]
+    assert [next(rows) for _ in fit] == [oracle_row(preset, 3, n) for n in fit]
+    with pytest.raises(EnumerationBudgetError):
+        next(rows)
 
 
 @pytest.mark.parametrize("preset", ("fib", "odd", "two_three"))
