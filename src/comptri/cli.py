@@ -18,6 +18,11 @@ Startup imports only what every command needs.  ``json`` is imported by the
 ``--format json`` branches, ``pickle`` by the commands that fork, and numpy
 by word enumeration (see :mod:`comptri.words`), so a csv ``transform`` loads
 none of them.
+
+``main`` parses with one parser per process, built by :func:`build_parser`
+on its first call and reused by every later call: building all four
+subcommands takes about as long as a small command, and argparse keeps no
+state from one parse to the next.  Importing the module builds nothing.
 """
 
 from __future__ import annotations
@@ -277,9 +282,7 @@ def _cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             sys.stdout.write("\n".join(lines) + "\n")
             sys.stderr.write(f"budget exceeded at n={n}, k=1..{n}: {exc}\n")
             return EXIT_BUDGET
-        for k in range(1, n + 1):
-            engine = tri.entry(n, k)
-            oracle = counts[k - 1]
+        for k, (engine, oracle) in enumerate(zip(tri.rows[n - 1], counts), start=1):
             match = "ok" if engine == oracle else "MISMATCH"
             if engine != oracle:
                 all_match = False
@@ -310,6 +313,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A newly built parser of every subcommand; ``main`` keeps the first one it builds."""
     parser = argparse.ArgumentParser(
         prog="comptri",
         description="Exact composition triangles, invert transforms, and word oracles.",
@@ -353,8 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # main's parser, built on its first call
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.handler(args, args.parser)
     except (EnumerationBudgetError, OutputSizeError) as exc:

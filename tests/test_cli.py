@@ -511,10 +511,16 @@ def test_huge_depth_returns_at_once(argv, stdout):
 
 
 STARTUP_CHECK = """
-import contextlib, io, sys
+import argparse, contextlib, io, sys
+# every ArgumentParser made, the subcommands' included
+made = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **kw: made.append(1) or init(self, *a, **kw)
 import comptri
 from comptri import cli
+at_import = len(made)
 cli.build_parser()
+per_build = len(made) - at_import
 # the records are plain classes, and pickle, json and numpy are imported only by
 # the calls that fork, print json and enumerate words, so startup loads none of them
 report = [sorted({"dataclasses", "inspect", "json", "numpy", "pickle"} & set(sys.modules))]
@@ -523,6 +529,8 @@ for line in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(line.split())
     report.append([code, "numpy" in sys.modules, "json" in sys.modules])
+# parsers made by the import, by one build_parser() and by all the main calls together
+report.append([at_import, per_build, len(made) - at_import - per_build])
 import json
 print(json.dumps(report))
 """
@@ -553,7 +561,36 @@ def test_only_word_enumeration_imports_numpy():
         [0, False, False],
         [0, False, True],
         [0, True, True],
+        # the import builds nothing, and the six main calls share one parser
+        [0, 5, 5],
     ]
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert run(capsys, "transform", "--preset", "ones", "--N", "2") == (0, "1,2\n", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--preset", "ones", "--N", "0"])
+    assert exc.value.code == 2
+    assert run(capsys, "triangle", "--seed", ",".join(["1"] * 65))[0] == 2
+    assert run(capsys, "oracle", "--preset", "fib", "--N", "2")[0] == 0
+    assert built == [1]
+
+
+def test_build_parser_returns_a_new_parser_each_call(capsys):
+    run(capsys, "transform", "--preset", "ones", "--N", "1")
+    edited = cli.build_parser()
+    assert edited is not cli.build_parser()
+    # an edit to a parser build_parser returned does not reach the one main parses with
+    edited.add_argument("--extra")
+    argv = ["--extra", "1", "transform", "--preset", "ones", "--N", "1"]
+    assert edited.parse_args(argv).extra == "1"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_verify_single_suite(capsys):
@@ -742,12 +779,54 @@ def argvs(draw):
     return argv
 
 
+def outcome(argv, fresh=False):
+    """(exit code, stdout, stderr) of main(argv), from a newly built parser if ``fresh``."""
+    kept = cli._parser
+    if fresh:
+        cli._parser = cli.build_parser()
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        if fresh:
+            cli._parser = kept
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(argvs())
 def test_every_argv_ends_in_a_documented_exit_code(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code in (0, 1, 2, 3)
+    # main's parser has parsed every earlier example, so state left by any would show
+    result = outcome(argv)
+    assert result[0] in (0, 1, 2, 3)
+    assert outcome(argv, fresh=True) == result
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        *([command, "-h"] for command in sorted(COMMANDS)),
+        ["oracle", "--preset", "fib", "--N", "65"],
+        ["transform", "--seed", "-1,2"],
+        ["triangle", "--preset", "ones", "--N", "3", "--algo"],
+        ["nope"],
+    ],
+)
+def test_a_reused_parser_reads_columns_when_it_formats(monkeypatch, argv):
+    results = {}
+    for columns in ("200", "40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        # a parse that completes comes first, so state it left would show
+        assert outcome(["transform", "--preset", "ones", "--N", "1"]) == (0, "1\n", "")
+        result = outcome(argv)
+        assert result[0] == (0 if "-h" in argv else 2)
+        assert outcome(argv, fresh=True) == result
+        assert results.setdefault(columns, result) == result
+    if "-h" in argv:
+        # help is wrapped at the width set when it is printed
+        assert results["200"] != results["40"]
