@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 enumeration
 budget or output-size bound exceeded.  All output is UTF-8 with LF line
 endings and is deterministic for a fixed invocation.
 
+``triangle`` builds each route that --algo names from ``triangle.ROUTES``
+and reports the entries where ``triangle.disagreements`` finds them differ.
 ``triangle --algo all`` builds the conv and bell routes in a child made by
 os.fork while this process builds recurrence and pascal, and ``verify`` with
 no --suite runs the binomial, bell, pascal and closed-forms suites in such a
@@ -35,13 +37,7 @@ from typing import Sequence
 from . import verify
 from .errors import ComptriError, EnumerationBudgetError, InsufficientSeedError, OutputSizeError
 from .sequences import ArithmeticFunction, Preset, check_output_size, iterate_invert, make_seed
-from .triangle import (
-    ORDER_CAP,
-    triangle_bell,
-    triangle_convolution,
-    triangle_pascal,
-    triangle_recurrence,
-)
+from .triangle import ORDER_CAP, ROUTES, disagreements, triangle_recurrence
 from .words import DEFAULT_BUDGET, oracle_rows
 
 EXIT_OK = 0
@@ -51,12 +47,6 @@ EXIT_BUDGET = 3
 
 BUDGET_CAP = 1 << 30  # under half a minute at about 5e7 words/s
 
-_BUILDERS = {
-    "recurrence": triangle_recurrence,
-    "conv": triangle_convolution,
-    "bell": triangle_bell,
-    "pascal": triangle_pascal,
-}
 # `triangle --algo all` builds these routes in a forked child while it builds
 # the others: over the 32 triangles at N=64 of one perfbench algebra pass they
 # take about 1.0 s against 1.1 s for recurrence and pascal, the best-balanced split
@@ -238,27 +228,17 @@ def _run_in_order(names, child_names, jobs):
 
 def _cmd_triangle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     seed, seed_repr, n = _resolve_seed(args, parser)
-    if args.algo == "all":
-        jobs = {name: lambda build=build: build(seed, args.m, n).rows
-                for name, build in _BUILDERS.items()}
-        triangles = dict(_run_in_order(_BUILDERS, _CHILD_ROUTES, jobs))
-        rows = triangles["recurrence"]
-        # whole triangles compare at once; entries are scanned only when one differs
-        if any(other != rows for other in triangles.values()):
-            mismatches = []
-            for i in range(n):
-                for j in range(i + 1):
-                    vals = {name: tri[i][j] for name, tri in triangles.items()}
-                    if len(set(vals.values())) > 1:
-                        mismatches.append((i + 1, j + 1, vals))
-            for ni, ki, vals in mismatches[:20]:
-                detail = " ".join(f"{name}={v}" for name, v in vals.items())
-                sys.stderr.write(f"disagreement at n={ni} k={ki}: {detail}\n")
-            sys.stderr.write(f"{len(mismatches)} disagreeing entries\n")
-            return EXIT_FAIL
-    else:
-        rows = _BUILDERS[args.algo](seed, args.m, n).rows
-    sys.stdout.write(_emit_triangle(seed_repr, args.m, n, rows, args.format))
+    names = list(ROUTES) if args.algo == "all" else [args.algo]
+    jobs = {name: lambda build=ROUTES[name]: build(seed, args.m, n).rows for name in names}
+    triangles = dict(_run_in_order(names, _CHILD_ROUTES, jobs))
+    found = disagreements(triangles)
+    if found:
+        for ni, ki, vals in found[:20]:
+            detail = " ".join(f"{name}={v}" for name, v in vals.items())
+            sys.stderr.write(f"disagreement at n={ni} k={ki}: {detail}\n")
+        sys.stderr.write(f"{len(found)} disagreeing entries\n")
+        return EXIT_FAIL
+    sys.stdout.write(_emit_triangle(seed_repr, args.m, n, triangles[names[0]], args.format))
     return EXIT_OK
 
 
@@ -335,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triangle", help="print the depth-m triangle c(n,k)")
     add_seed_flags(p, ORDER_CAP)
     p.add_argument("--m", action=_IntRange, floor=1, default=1, help="triangle depth, at least 1")
-    p.add_argument("--algo", choices=(*_BUILDERS, "all"), default="recurrence")
+    p.add_argument("--algo", choices=(*ROUTES, "all"), default="recurrence")
     p.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
     p.set_defaults(handler=_cmd_triangle, parser=p)
 

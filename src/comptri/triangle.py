@@ -41,6 +41,8 @@ recurrence and the convolution both need c(0, 0) = 1 and c(n, 0) = 0 for
 n >= 1; each keeps its own column 0 while it fills the rows, so that
 neither route's conventions can mask a bug in the other's.
 
+ROUTES is the one table of the routes, by `comptri triangle --algo` name,
+and disagreements the one comparison of their triangles.
 `comptri triangle --algo all` builds triangle_convolution and triangle_bell
 in a forked child while it builds the other two, when more than one CPU is
 usable, so those two routes share no memory with the others there; see
@@ -151,6 +153,41 @@ def triangle_pascal(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangul
         return triangle_recurrence(f0, 1, order)
     base = triangle_recurrence(_prefix(f0, m, order), 1, order)
     return mat_mul(base, pascal_lower(order, m - 1))
+
+
+# a module-level plain dict, whose values a tracer that wraps module
+# attributes can wrap as well, so calls made through it stay visible
+ROUTES = {
+    "recurrence": triangle_recurrence,
+    "conv": triangle_convolution,
+    "bell": triangle_bell,
+    "pascal": triangle_pascal,
+}
+
+
+def disagreements(triangles: dict[str, tuple]) -> list[tuple[int, int, dict[str, int]]]:
+    """(n, k, {name: c(n, k)}) of each entry where the named triangles differ,
+    in row-major order, or [] when they all agree.
+
+    ``triangles`` maps names to the rows of lower-triangular matrices, row n
+    holding n entries.  Whole triangles compare first, and entries are scanned
+    only when one differs, up to the largest order; a triangle of smaller
+    order reads None past its last row, so triangles that differ in order
+    disagree there.
+    """
+    first, *others = triangles.values()
+    if all(rows == first for rows in others):
+        return []
+    found = []
+    for n in range(1, max(map(len, triangles.values())) + 1):
+        for k in range(1, n + 1):
+            values = {
+                name: rows[n - 1][k - 1] if n <= len(rows) else None
+                for name, rows in triangles.items()
+            }
+            if len(set(values.values())) > 1:
+                found.append((n, k, values))
+    return found
 
 
 def row_sum(tri: LowerTriangularMatrix, n: int) -> int:

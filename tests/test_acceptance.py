@@ -18,13 +18,11 @@ from comptri import (
     make_seed,
     oracle_model,
     oracle_rows,
-    triangle_bell,
-    triangle_convolution,
-    triangle_pascal,
     triangle_recurrence,
     verify,
     word_to_composition,
 )
+from comptri.triangle import ROUTES, disagreements
 
 PRESETS = ("ones", "fib", "odd", "natural", "ge2", "two_three")
 BUDGET = 1 << 26
@@ -46,13 +44,10 @@ def test_criterion_01_four_way_agreement(capsys):
     for preset in PRESETS:
         f0 = make_seed(preset, 24)
         for m in (1, 2, 3, 4):
-            a = triangle_recurrence(f0, m, 24).rows
-            b = triangle_convolution(f0, m, 24).rows
-            c = triangle_bell(f0, m, 24).rows
-            d = triangle_pascal(f0, m, 24).rows
+            found = disagreements({name: build(f0, m, 24).rows for name, build in ROUTES.items()})
             checks += 1
-            if not (a == b == c == d):
-                failures.append(f"{preset} m={m}")
+            if found:
+                failures.append(f"{preset} m={m}, first (n, k, values) {found[0]}")
     _verdict(capsys, 1, "four triangle routes agree (presets, m<=4, N=24)", failures, checks, t0)
 
 

@@ -1,6 +1,6 @@
 """The public names and the functions the benchmark tracer patches exist,
-the README's library session runs, and no module keeps an unused import
-or an unused private function."""
+the tracer sees every triangle route, the README's library session runs,
+and no module keeps an unused import or an unused private name."""
 
 import ast
 import doctest
@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import comptri
+from comptri import triangle
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -20,16 +21,30 @@ def test_all_names_resolve():
     assert missing == []
 
 
-def test_traced_functions_exist():
+def _traced_targets():
     spec = importlib.util.spec_from_file_location("comptri_bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans.TARGETS
+
+
+def test_traced_functions_exist():
+    targets = _traced_targets()
     missing = []
-    for target in spans.TARGETS:
+    for target in targets:
         layer, function = target.split(".")
         if not callable(getattr(importlib.import_module(f"comptri.{layer}"), function, None)):
             missing.append(target)
-    assert spans.TARGETS and missing == []
+    assert targets and missing == []
+
+
+def test_the_tracer_sees_every_route():
+    # the tracer wraps module attributes and the values of module-level plain
+    # dicts, and nothing else, so the CLI's builds read from ROUTES show in
+    # its counters only while both hold
+    assert type(triangle.ROUTES) is dict
+    traced = [target.split(".")[1] for target in _traced_targets() if target.startswith("triangle.triangle_")]
+    assert traced and all(getattr(triangle, name) in triangle.ROUTES.values() for name in traced)
 
 
 def test_readme_session():
@@ -77,22 +92,33 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
+def _module_names(tree):
+    """(line, name) of each function and each assigned name at module level."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield node.lineno, name.id
+
+
 def test_no_unused_private_functions():
+    # private assignments as well, so a table left behind by a refactor fails
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     referenced = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     unused = [
-        f"{name}:{node.lineno} {node.name}"
+        f"{name}:{line} {private}"
         for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and node.name not in referenced
+        for line, private in _module_names(tree)
+        if private.startswith("_") and not private.startswith("__") and private not in referenced
     ]
     assert unused == []

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import comptri
-from comptri import LowerTriangularMatrix, Preset, cli, triangle_bell, verify
+from comptri import LowerTriangularMatrix, Preset, cli, triangle_bell, triangle_pascal, verify
 from comptri.cli import main
 from comptri.errors import InternalConsistencyError
+from comptri.triangle import ROUTES
 
 SRC = str(Path(comptri.__file__).resolve().parents[1])
 
@@ -151,6 +152,28 @@ def test_triangle_all_algorithms_agree(capsys, monkeypatch, source, path):
     assert out_all == out_one
 
 
+@pytest.mark.parametrize("path", BUILD_PATHS)
+def test_each_route_alone_prints_what_all_prints(capsys, monkeypatch, path):
+    path(monkeypatch)
+    forks = []
+    fork = getattr(os, "fork", None)
+    if fork is not None:
+
+        def spy():
+            forks.append("fork")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", spy)
+    argv = ("triangle", "--preset", "odd", "--m", "3", "--N", "10", "--algo")
+    expected = run(capsys, *argv, "all")
+    forks_by_all = len(forks)
+    assert expected[0] == 0
+    for route in ROUTES:
+        assert run(capsys, *argv, route) == expected
+    # all forks, or tries to, on these paths; no single route does
+    assert len(forks) == forks_by_all == (path in (forked, fork_fails))
+
+
 def test_usable_cpus_reads_the_affinity_mask_then_the_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     assert cli._usable_cpus() == 3
@@ -172,23 +195,24 @@ def raise_inconsistency(seed, m, n):
 
 @pytest.mark.parametrize("route", cli._CHILD_ROUTES)
 def test_a_child_route_failure_reads_as_in_process(capsys, monkeypatch, route):
-    monkeypatch.setitem(cli._BUILDERS, route, raise_inconsistency)
-    argv = ("triangle", "--preset", "fib", "--m", "2", "--N", "9", "--algo", "all")
+    monkeypatch.setitem(ROUTES, route, raise_inconsistency)
+    argv = ("triangle", "--preset", "fib", "--m", "2", "--N", "9", "--algo")
     with monkeypatch.context() as inline:
         no_fork(inline)
-        expected = run(capsys, *argv)
+        expected = run(capsys, *argv, "all")
     forked(monkeypatch)
-    assert run(capsys, *argv) == expected == (2, "", "error: planted failure at N=9\n")
+    assert run(capsys, *argv, "all") == expected == (2, "", "error: planted failure at N=9\n")
+    assert run(capsys, *argv, route) == expected
     assert_no_child_left()
 
 
 def test_the_first_failure_in_builder_order_is_reported(capsys, monkeypatch):
-    # pascal fails in this process, conv (earlier in _BUILDERS) in the child
+    # pascal fails in this process, conv (earlier in ROUTES) in the child
     def raise_value_error(seed, m, n):
         raise ValueError("pascal failed")
 
-    monkeypatch.setitem(cli._BUILDERS, "conv", raise_inconsistency)
-    monkeypatch.setitem(cli._BUILDERS, "pascal", raise_value_error)
+    monkeypatch.setitem(ROUTES, "conv", raise_inconsistency)
+    monkeypatch.setitem(ROUTES, "pascal", raise_value_error)
     forked(monkeypatch)
     argv = ("triangle", "--preset", "ones", "--m", "2", "--N", "4", "--algo", "all")
     assert run(capsys, *argv) == (2, "", "error: planted failure at N=4\n")
@@ -199,7 +223,7 @@ def test_a_child_that_sends_nothing_is_an_error(capsys, monkeypatch):
     def die(seed, m, n):
         os._exit(1)
 
-    monkeypatch.setitem(cli._BUILDERS, "bell", die)
+    monkeypatch.setitem(ROUTES, "bell", die)
     forked(monkeypatch)
     argv = ("triangle", "--preset", "ones", "--m", "2", "--N", "4", "--algo", "all")
     assert run(capsys, *argv) == (2, "", "error: the process building conv, bell sent no result\n")
@@ -208,7 +232,7 @@ def test_a_child_that_sends_nothing_is_an_error(capsys, monkeypatch):
 
 PARENT_FAILURE = """
 import json, os, sys
-from comptri import cli, verify
+from comptri import cli, triangle, verify
 from comptri.errors import InternalConsistencyError
 planted = {"InternalConsistencyError": InternalConsistencyError, "KeyboardInterrupt": KeyboardInterrupt}
 def fail(*args):
@@ -216,7 +240,7 @@ def fail(*args):
 def flood(*args):
     # distinct strings, since pickle writes a repeated object once
     return verify.Sweep("flood", 2000, tuple(f"{i:0100}" for i in range(2000)), 0.0)
-cli._BUILDERS["recurrence"] = fail
+triangle.ROUTES["recurrence"] = fail
 verify.row_sums = fail
 for name in sys.argv[3:]:
     setattr(verify, name, flood)
@@ -278,7 +302,7 @@ def bell_plus_one(entries):
 
 
 def test_triangle_disagreement_is_reported(capsys, monkeypatch):
-    monkeypatch.setitem(cli._BUILDERS, "bell", bell_plus_one([(3, 2)]))
+    monkeypatch.setitem(ROUTES, "bell", bell_plus_one([(3, 2)]))
     assert run(capsys, "triangle", "--preset", "ones", "--m", "2", "--N", "4", "--algo", "all") == (
         1,
         "",
@@ -289,13 +313,30 @@ def test_triangle_disagreement_is_reported(capsys, monkeypatch):
 
 def test_triangle_disagreement_lists_the_first_twenty(capsys, monkeypatch):
     every = [(i, j) for i in range(1, 8) for j in range(1, i + 1)]
-    monkeypatch.setitem(cli._BUILDERS, "bell", bell_plus_one(every))
+    monkeypatch.setitem(ROUTES, "bell", bell_plus_one(every))
     code, out, err = run(capsys, "triangle", "--preset", "ones", "--m", "2", "--N", "7", "--algo", "all")
     lines = err.splitlines()
     assert (code, out, len(lines)) == (1, "", 21)
     assert lines[0] == "disagreement at n=1 k=1: recurrence=1 conv=1 bell=2 pascal=1"
     assert lines[19].startswith("disagreement at n=6 k=5: ")
     assert lines[20] == "28 disagreeing entries"
+
+
+def test_triangle_reports_a_route_of_another_order(capsys, monkeypatch):
+    # every shared entry agrees, so only the extra row can tell them apart
+    def one_row_more(seed, m, n):
+        rows = triangle_pascal(seed, m, n).rows
+        return LowerTriangularMatrix(rows + (rows[-1] + (1,),))
+
+    monkeypatch.setitem(ROUTES, "pascal", one_row_more)
+    assert run(capsys, "triangle", "--preset", "ones", "--m", "2", "--N", "2", "--algo", "all") == (
+        1,
+        "",
+        "disagreement at n=3 k=1: recurrence=None conv=None bell=None pascal=2\n"
+        "disagreement at n=3 k=2: recurrence=None conv=None bell=None pascal=1\n"
+        "disagreement at n=3 k=3: recurrence=None conv=None bell=None pascal=1\n"
+        "3 disagreeing entries\n",
+    )
 
 
 def test_triangle_custom_seed(capsys):
@@ -666,7 +707,7 @@ SUITE_SWEEPS = {
 def test_every_suite_has_its_sweep_and_every_forked_name_exists():
     assert list(SUITE_SWEEPS) == list(verify.suites())
     assert set(cli._CHILD_SUITES) < set(verify.suites())
-    assert set(cli._CHILD_ROUTES) < set(cli._BUILDERS)
+    assert set(cli._CHILD_ROUTES) < set(ROUTES)
 
 
 def raise_planted(*args):
@@ -755,7 +796,7 @@ COMMANDS = {
     "triangle": (
         ("--N",),
         {"--preset": PRESETS, "--seed": SEEDS, "--m": INTS, "--format": FORMATS,
-         "--algo": st.sampled_from(("recurrence", "conv", "bell", "pascal", "all"))},
+         "--algo": st.sampled_from((*ROUTES, "all"))},
     ),
     "oracle": (("--N", "--budget"), {"--preset": PRESETS, "--m": INTS}),
     "verify": (("--max", "--budget"), {"--suite": st.sampled_from(sorted(verify.suites()))}),

@@ -24,9 +24,9 @@ from comptri import (
     triangle_pascal,
     triangle_recurrence,
 )
+from comptri.triangle import ROUTES, disagreements
 
 PRESETS = ("ones", "fib", "odd", "natural", "ge2", "two_three")
-BUILDERS = (triangle_recurrence, triangle_convolution, triangle_bell, triangle_pascal)
 
 # custom seeds f_0(1..N), N <= 16: digits, some 64-bit weights, f(1) may be 0
 CUSTOM_SEEDS = st.lists(
@@ -49,6 +49,11 @@ def compositions(n, k):
 
 def weighted_count(f, n, k):
     return sum(prod(f(p) for p in parts) for parts in compositions(n, k))
+
+
+def every_route(f0, m, order):
+    """The rows of each route's triangle, by route name."""
+    return {name: build(f0, m, order).rows for name, build in ROUTES.items()}
 
 
 # Entries frozen from direct enumeration.  For depth 1 they are plain
@@ -87,16 +92,13 @@ def test_depth_two_matches_composition_sums(preset):
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("m", (1, 2, 3, 2**40))
 def test_four_routes_agree(preset, m):
-    f0 = make_seed(preset, 12)
-    rows = [build(f0, m, 12).rows for build in BUILDERS]
-    assert rows[0] == rows[1] == rows[2] == rows[3]
+    assert disagreements(every_route(make_seed(preset, 12), m, 12)) == []
 
 
 @PROPERTY
 @given(CUSTOM_SEEDS, DEPTHS)
 def test_four_routes_agree_on_custom_seeds(f0, m):
-    rows = [build(f0, m, len(f0)).rows for build in BUILDERS]
-    assert rows[0] == rows[1] == rows[2] == rows[3]
+    assert disagreements(every_route(f0, m, len(f0))) == []
 
 
 # seeds whose support starts at s = 3 or later, so column k begins at row s k;
@@ -114,8 +116,7 @@ LATE_SEEDS = (
 @pytest.mark.parametrize("m", (1, 2, 3, 2**40))
 def test_four_routes_agree_on_late_seeds(values, m):
     f0 = ArithmeticFunction(values)
-    rows = [build(f0, m, len(f0)).rows for build in BUILDERS]
-    assert rows[0] == rows[1] == rows[2] == rows[3]
+    assert disagreements(every_route(f0, m, len(f0))) == []
 
 
 def _reference(preset, m, order):
@@ -163,6 +164,29 @@ def test_convolution_and_bell_survive_a_broken_recurrence(preset, m, monkeypatch
     assert triangle_bell(f0, m, 10).rows == expected
     assert triangle_recurrence(f0, m, 10).rows != expected
     assert triangle_pascal(f0, m, 10).rows != expected
+    # the bad c_1(7, 3) under pascal's base reaches its c(7, k) for every k <= 3,
+    # and the recurrence's own c(7, 3)
+    found = disagreements(every_route(f0, m, 10))
+    assert [(n, k) for n, k, _ in found] == [(7, 1), (7, 2), (7, 3)]
+    for n, k, values in found:
+        assert values["conv"] == values["bell"] == expected[n - 1][k - 1] != values["pascal"]
+        assert (values["recurrence"] == values["pascal"]) == (k == 3)
+
+
+@pytest.mark.parametrize("longer", ("recurrence", "pascal"))
+def test_triangles_of_another_order_disagree(longer):
+    # triangles that agree on their shared rows still differ when one has
+    # another order, wherever in the dict it stands
+    f0 = make_seed("fib", 4)
+    triangles = every_route(f0, 2, 3)
+    triangles[longer] = ROUTES[longer](f0, 2, 4).rows
+    found = disagreements(triangles)
+    assert [(n, k) for n, k, _ in found] == [(4, 1), (4, 2), (4, 3), (4, 4)]
+    for n, k, values in found:
+        assert values[longer] == triangles[longer][n - 1][k - 1]
+        assert [name for name, v in values.items() if v is None] == [
+            name for name in ROUTES if name != longer
+        ]
 
 
 @PROPERTY
@@ -244,7 +268,7 @@ def test_insufficient_seed():
 
 def test_order_cap():
     f0 = make_seed("ones", 65)
-    for build in BUILDERS:
+    for build in ROUTES.values():
         with pytest.raises(ValueError):
             build(f0, 1, 65)
         assert build(f0, 1, 64).order == 64
@@ -253,7 +277,7 @@ def test_order_cap():
 def test_long_seed_is_cut_to_the_order(monkeypatch):
     # f(11) alone would break the size bound; the order-10 triangle never reads it
     long_seed = ArithmeticFunction((1,) * 10 + (2**12000,))
-    for build in BUILDERS:
+    for build in ROUTES.values():
         assert build(long_seed, 3, 10).rows == build(make_seed("ones", 10), 3, 10).rows
     lengths = []
     monkeypatch.setattr(triangle, "iterate_invert", lambda f, m: lengths.append(len(f)) or f)
@@ -264,7 +288,7 @@ def test_long_seed_is_cut_to_the_order(monkeypatch):
 def test_output_size_bound_refuses_every_route():
     # entries of the all-ones order-20 triangle have up to 1 + 19 bitlen(m + 1) bits
     ones = make_seed("ones", 20)
-    for build in BUILDERS:
+    for build in ROUTES.values():
         with pytest.raises(OutputSizeError):
             build(ones, 2**700, 20)
         assert build(ones, 2**600, 20).order == 20
@@ -274,7 +298,7 @@ def test_output_size_bound_refuses_every_route():
 
 def test_depth_validation():
     f0 = make_seed("ones", 4)
-    for build in BUILDERS:
+    for build in ROUTES.values():
         with pytest.raises(ValueError):
             build(f0, 0, 4)
 
