@@ -7,6 +7,7 @@ generous index range still vanishes exactly where the triangle does.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .records import Record, set_field
@@ -18,9 +19,7 @@ PolynomialZ = tuple[int, ...]
 
 def binom(n: int, k: int) -> int:
     """C(n, k), defined as 0 whenever k < 0, n < 0 or k > n."""
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 def closed_form(preset: Preset | str, m: int, n: int, k: int) -> int:
@@ -30,7 +29,8 @@ def closed_form(preset: Preset | str, m: int, n: int, k: int) -> int:
     as a polynomial in m - 1 (the depth-1 form is the m = 1 case).  ODD with
     m > 1 raises ValueError.
     """
-    preset = Preset(preset)
+    if type(preset) is not Preset:
+        preset = Preset(preset)
     if m < 1:
         raise ValueError("depth m must be >= 1")
     if not 1 <= k <= n:
@@ -94,9 +94,9 @@ def check_closed_forms(preset: Preset | str, order: int) -> list[FormCheck]:
         if preset is Preset.ODD and m != 1:
             continue
         tri = triangle_recurrence(make_seed(preset, order), m, order)
-        for n in range(1, order + 1):
-            for k in range(1, n + 1):
-                results.append(FormCheck(m, n, k, tri.entry(n, k), closed_form(preset, m, n, k)))
+        for n, row in enumerate(tri.rows, start=1):
+            for k, engine in enumerate(row, start=1):
+                results.append(FormCheck(m, n, k, engine, closed_form(preset, m, n, k)))
     return results
 
 
@@ -130,6 +130,9 @@ def check_word_binomial(n: int, k: int, words: int) -> bool:
     return binom(n + k - 1, 2 * k - 1) == words
 
 
+# check_chebyshev asks for u_(n+k-2) once per pair (n, k), so for each degree
+# many times; a result is a tuple, so no caller can change a cached value
+@functools.lru_cache(maxsize=64)
 def chebyshev_u(d: int) -> PolynomialZ:
     """Coefficients of the degree-d Chebyshev polynomial of the second kind,
     ascending by degree: u_0 = 1, u_1 = 2x, u_d = 2x u_(d-1) - u_(d-2)."""

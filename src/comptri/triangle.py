@@ -51,6 +51,8 @@ comptri.cli.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .bell import bell_triangle
 from .errors import InsufficientSeedError
 from .pascal import LowerTriangularMatrix, mat_mul, pascal_lower
@@ -82,17 +84,20 @@ def _weights(f0: ArithmeticFunction, m: int, order: int) -> tuple[int, ...]:
 
 
 def _rows_from_weights(w: tuple[int, ...], order: int) -> tuple[tuple[int, ...], ...]:
-    # padded[n][k] = c(n, k) for 0 <= k <= n, so the recurrence can touch c(*, 0)
-    padded: list[list[int]] = [[1]]
-    for n in range(1, order + 1):
-        row = [0]
-        for k in range(1, n + 1):
-            acc = 0
-            for i in range(1, n - k + 2):
-                acc += w[i - 1] * padded[n - i][k - 1]
-            row.append(acc)
-        padded.append(row)
-    return tuple(tuple(row[1:]) for row in padded[1:])
+    # once row n - 1 is built, columns[k] lists c(j, k) for j from k up to
+    # n - 1, column 0 being [1, 0, 0, ...] so the recurrence can touch
+    # c(*, 0); read backwards, column k - 1 pairs c(n - i, k - 1) with w(i)
+    # for i = 1..n-k+1, so each entry is one dot product and no slice is copied
+    columns: list[list[int]] = [[1]]
+    rows = []
+    for _ in range(order):
+        row = tuple([sum(map(mul, w, reversed(column))) for column in columns])
+        # c(n, 0) = 0 goes to column 0; the new column n starts at c(n, n)
+        for column, c in zip(columns, (0, *row)):
+            column.append(c)
+        columns.append([row[-1]])
+        rows.append(row)
+    return tuple(rows)
 
 
 def triangle_recurrence(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangularMatrix:

@@ -60,8 +60,12 @@ def test_chebyshev_structure():
 
 
 def test_chebyshev_validation():
-    with pytest.raises(ValueError):
-        chebyshev_u(-1)
+    # chebyshev_u keeps its results, but never an error: each call raises anew
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            chebyshev_u(-1)
+    assert chebyshev_u(5) is chebyshev_u(5)
+    assert isinstance(chebyshev_u(5), tuple)
 
 
 def test_binomial_inversion_sweep():

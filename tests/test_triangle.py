@@ -33,6 +33,11 @@ CUSTOM_SEEDS = st.lists(
     st.integers(0, 9) | st.integers(2**63, 2**64 - 1), min_size=1, max_size=16
 ).map(lambda values: ArithmeticFunction(tuple(values), "custom"))
 DEPTHS = st.integers(1, 4)
+# short custom seeds for the brute force: small values with zeros, f(1) may
+# be 0, and 65-bit values
+BRUTE_SEEDS = st.lists(
+    st.integers(0, 3) | st.integers(2**64, 2**65 - 1), min_size=1, max_size=9
+).map(lambda values: ArithmeticFunction(tuple(values), "custom"))
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
 
@@ -87,6 +92,17 @@ def test_depth_two_matches_composition_sums(preset):
     for n in range(1, 9):
         for k in range(1, n + 1):
             assert tri.entry(n, k) == weighted_count(w, n, k)
+
+
+# a fault in the recurrence's kernel reaches pascal's depth-1 base as well,
+# so the two routes would go wrong together: check it by brute force
+@PROPERTY
+@given(BRUTE_SEEDS, st.integers(1, 2))
+def test_recurrence_matches_composition_sums_on_custom_seeds(f0, m):
+    w = iterate_invert(f0, m - 1)
+    tri = triangle_recurrence(f0, m, len(f0))
+    for n, row in enumerate(tri.rows, start=1):
+        assert row == tuple(weighted_count(w, n, k) for k in range(1, n + 1))
 
 
 @pytest.mark.parametrize("preset", PRESETS)
