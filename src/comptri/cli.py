@@ -49,12 +49,15 @@ BUDGET_CAP = 1 << 30  # under half a minute at about 5e7 words/s
 
 # `triangle --algo all` builds these routes in a forked child while it builds
 # the others: over the 32 triangles at N=64 of one perfbench algebra pass they
-# take about 1.0 s against 1.1 s for recurrence and pascal, the best-balanced split
+# take about 0.57 s against 0.56 s for recurrence and pascal (each triangle's
+# best of 3 on 2 vCPUs), the best-balanced split
 _CHILD_ROUTES = ("conv", "bell")
 # `verify` with no --suite runs these suites in a forked child while it runs
-# the others: at default bounds they take about 43 ms against about 37 ms for
-# row-sums, chebyshev and word-binomial, and the two word-counting suites stay
-# here, so numpy is imported only in this process
+# the others: at default bounds they take about 27 ms against about 23 ms for
+# row-sums, chebyshev and word-binomial (each suite's best of 9 on 2 vCPUs),
+# and the two word-counting suites stay here, so numpy is imported only in
+# this process.  Moving binomial, bell or both of them here changes a default
+# verify by under 1 ms, within its run-to-run spread.
 _CHILD_SUITES = ("binomial", "bell", "pascal", "closed-forms")
 
 
