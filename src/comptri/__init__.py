@@ -7,7 +7,7 @@ polynomials, Pascal-matrix algebra, and brute-force restricted-word
 enumeration.
 """
 
-from .bell import bell_invert_identity_check, bell_table, partial_bell
+from .bell import bell_invert_identity_check, bell_table
 from .errors import (
     ComptriError,
     DimensionError,
@@ -44,7 +44,6 @@ from .sequences import (
     make_seed,
 )
 from .triangle import (
-    extended_binomial,
     row_sum,
     transform_via_triangle,
     triangle_bell,
@@ -98,7 +97,6 @@ __all__ = [
     "closed_form",
     "composition_to_word",
     "count_words",
-    "extended_binomial",
     "invert_transform",
     "iterate_invert",
     "make_seed",
@@ -109,7 +107,6 @@ __all__ = [
     "oracle_model",
     "oracle_row",
     "oracle_rows",
-    "partial_bell",
     "pascal_lower",
     "row_sum",
     "shifted_pascal_inverse",

@@ -2,12 +2,13 @@
 
 B(n, k) here is the partial (incomplete) exponential Bell polynomial
 B_{n,k}(x_1, ..., x_{n-k+1}) evaluated at integer arguments.  The table is
-filled with the dividing recurrence
+filled by Comtet's recurrence (L. Comtet, Advanced Combinatorics, 1974,
+ch. III), which splits off the block that holds the element n,
 
-    k * B(n, k) = sum_{i=1}^{n-k+1} C(n, i) * x_i * B(n-i, k-1),
+    B(n, k) = sum_{i=0}^{n-k} C(n-1, i) * x_{i+1} * B(n-1-i, k-1),
 
-with B(0, 0) = 1.  At integer arguments every division by k is exact; a
-remainder would mean a bug, so it raises instead of truncating.
+with B(0, 0) = 1 and B(n, 0) = 0 for n >= 1.  It only adds and multiplies,
+so integer arguments give exact integers and the table divides nowhere.
 
 bell_triangle is the Bell route of the triangle module at w = f_(m-1), and
 bell_invert_identity_check compares bell_triangle(x) L, for the Pascal
@@ -28,47 +29,27 @@ def bell_table(x: Sequence[int], n_max: int) -> list[list[int]]:
     """Table of B(n, k) for 0 <= k <= n <= n_max, as ragged rows.
 
     ``x`` is 1-based: ``x[i - 1]`` plays the role of x_i.  Entries may be
-    negative; exactness only needs them to be integers.
+    negative; they must be integers, and never ``bool``.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if len(x) < n_max:
         raise ValueError(f"need x_1..x_{n_max}, got {len(x)} arguments")
     for v in x[:n_max]:
-        if not isinstance(v, int):
+        if isinstance(v, bool) or not isinstance(v, int):
             raise ValueError(f"arguments must be integers, got {v!r}")
     table: list[list[int]] = [[1]]
     for n in range(1, n_max + 1):
-        # weights[i] = C(n, i) x_i, shared by every k of the row
-        weights = [0] + [comb(n, i) * x[i - 1] for i in range(1, n + 1)]
+        # weights[i] = C(n-1, i) x_{i+1}, shared by every k of the row
+        weights = [comb(n - 1, i) * x[i] for i in range(n)]
         row = [0]
         for k in range(1, n + 1):
             acc = 0
-            for i in range(1, n - k + 2):
-                acc += weights[i] * table[n - i][k - 1]
-            q, r = divmod(acc, k)
-            if r:
-                raise InternalConsistencyError(
-                    f"B({n},{k}) recurrence sum {acc} is not divisible by {k}"
-                )
-            row.append(q)
+            for i in range(n - k + 1):
+                acc += weights[i] * table[n - 1 - i][k - 1]
+            row.append(acc)
         table.append(row)
     return table
-
-
-def partial_bell(x: Sequence[int], n: int, k: int) -> int:
-    """B_{n,k}(x_1, ..., x_{n-k+1}) as an exact integer.
-
-    Only x_1..x_{n-k+1} are read; missing later arguments are irrelevant and
-    treated as zero when the table is filled.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    needed = n - k + 1 if k >= 1 else 0
-    if len(x) < needed:
-        raise ValueError(f"B({n},{k}) needs x_1..x_{needed}, got {len(x)} arguments")
-    padded = list(x[:n]) + [0] * max(0, n - len(x))
-    return bell_table(padded, n)[n][k]
 
 
 def bell_triangle(w: Sequence[int], order: int) -> LowerTriangularMatrix:
@@ -105,6 +86,10 @@ def bell_invert_identity_check(x: Sequence[int], n_max: int) -> bool:
     and Y(n, k) = k! B_{n,k}(1! y_1, ...).  Row n divided by n!, exactly, is
     bell_triangle(x) L = bell_triangle(y), which is compared.  Returns True
     iff every pair (n, k) in range satisfies it; at n_max = 0 there is none.
+
+    Unlike bell_table, this needs x_1..x_{n_max} to be nonnegative integers:
+    y comes from invert_transform, whose argument is an ArithmeticFunction,
+    so a negative or non-integer argument raises InvalidSeedError.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")

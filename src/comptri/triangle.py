@@ -22,7 +22,10 @@ work.  Four algorithms compute the same triangle:
         c(n, k) = sum_i f_0(i) (c(n-i, k-1) + (m-1) c(n-i, k));
   * triangle_bell: partial Bell polynomials at factorial-scaled arguments,
         c(n, k) = (k! / n!) B_{n,k}(1! w(1), 2! w(2), ...),
-    which is bell.bell_triangle at w = f_(m-1);
+    which is bell.bell_triangle at w = f_(m-1).  Its table comes from
+    Comtet's recurrence, in triangle terms
+        n c(n, k) = k sum_j j w(j) c(n-j, k-1),
+    whose terms carry a weight j that the first-part recurrence's lack;
   * triangle_pascal: the depth-1 triangle times a Pascal-matrix power,
     c_m = c_1 L^(m-1), that is
         c(n, k) = sum_{i=k}^{n} (m-1)^(i-k) C(i-1, k-1) c_1(n, i),
@@ -215,15 +218,3 @@ def transform_via_triangle(f0: ArithmeticFunction, m: int, n: int) -> int:
     tri = triangle_recurrence(f0, 1, n)
     return sum(m ** (i - 1) * tri.entry(n, i) for i in range(1, n + 1))
 
-
-def extended_binomial(f: ArithmeticFunction, k: int, n: int) -> int:
-    """The f-weighted analogue of C(n+k-1, k-1): the entry c(n+k, k) with weights f.
-
-    For f identically 1 this is the number of compositions of n+k into k
-    parts, C(n+k-1, k-1).  Like the builders, n + k is capped at ORDER_CAP.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return triangle_recurrence(f, 1, n + k).entry(n + k, k)

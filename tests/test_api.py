@@ -1,11 +1,13 @@
 """The public names and the functions the benchmark tracer patches exist,
 the tracer sees every triangle route, the README's library session runs,
-and no module keeps an unused import or an unused private name."""
+no module keeps an unused import or an unused private name, and no public
+name is used by the unit tests alone."""
 
 import ast
 import doctest
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import comptri
@@ -122,3 +124,22 @@ def test_no_unused_private_functions():
         if private.startswith("_") and not private.startswith("__") and private not in referenced
     ]
     assert unused == []
+
+
+def test_every_export_is_used_outside_the_unit_tests():
+    # a name in __all__ is used when a module of the package other than
+    # __init__ loads it, or when the README, the benchmark or the acceptance
+    # tests name it; an export only the unit tests call should go
+    loaded = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    documents = [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
+    text = "\n".join(path.read_text() for path in documents + sorted((ROOT / "perfbench").glob("*.py")))
+    named = set(re.findall(r"\w+", text))
+    assert [name for name in comptri.__all__ if name not in loaded | named] == []

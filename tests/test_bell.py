@@ -1,6 +1,6 @@
 """Partial Bell polynomial values and the transform-of-arguments identity."""
 
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +10,10 @@ from comptri import bell
 from comptri import (
     ArithmeticFunction,
     InternalConsistencyError,
+    InvalidSeedError,
     bell_invert_identity_check,
     bell_table,
     make_seed,
-    partial_bell,
 )
 
 # Classical specializations used as independent oracles: at x_i = 1 the
@@ -22,66 +22,97 @@ from comptri import (
 STIRLING2 = {(4, 2): 7, (5, 2): 15, (5, 3): 25, (6, 3): 90, (7, 3): 301}
 
 
+def block_sizes(n):
+    """The block sizes of each partition of {1..n}, one tuple per partition:
+    element t joins one of the blocks so far or opens a new one."""
+    partitions = [()]
+    for _ in range(n):
+        partitions = [
+            sizes[:b] + (sizes[b] + 1,) + sizes[b + 1:]
+            for sizes in partitions
+            for b in range(len(sizes))
+        ] + [sizes + (1,) for sizes in partitions]
+    return partitions
+
+
+def brute_bell_table(x, n_max):
+    """B(n, k) as the sum, over the partitions of {1..n} into k blocks, of the
+    product of x_(block size); it shares no step with either recurrence."""
+    table = [[0] * (n + 1) for n in range(n_max + 1)]
+    for n in range(n_max + 1):
+        for sizes in block_sizes(n):
+            table[n][len(sizes)] += prod(x[size - 1] for size in sizes)
+    return table
+
+
 def test_base_cases():
-    assert partial_bell([5], 0, 0) == 1
-    assert partial_bell([5, 1, 1], 3, 0) == 0
-    assert partial_bell([3], 4, 4) == 3**4
+    assert bell_table([5], 0) == [[1]]
+    assert bell_table([5, 1, 1], 3)[3][0] == 0
+    assert bell_table([3, 1, 4, 1], 4)[4][4] == 3**4
 
 
 def test_single_block():
     x = [2, 7, 1, 9]
+    table = bell_table(x, 4)
     for n in range(1, 5):
-        assert partial_bell(x, n, 1) == x[n - 1]
+        assert table[n][1] == x[n - 1]
 
 
 @pytest.mark.parametrize(("n", "k"), sorted(STIRLING2))
 def test_stirling_specialization(n, k):
-    assert partial_bell([1] * n, n, k) == STIRLING2[(n, k)]
+    assert bell_table([1] * n, n)[n][k] == STIRLING2[(n, k)]
 
 
 def test_lah_specialization():
-    x = [factorial(i) for i in range(1, 9)]
+    table = bell_table([factorial(i) for i in range(1, 9)], 8)
     for n in range(1, 9):
         for k in range(1, n + 1):
-            assert partial_bell(x, n, k) == comb(n - 1, k - 1) * factorial(n) // factorial(k)
+            assert table[n][k] == comb(n - 1, k - 1) * factorial(n) // factorial(k)
 
 
 def test_spec_prefix_suffices():
-    # B(3,2) = 3 x_1 x_2 reads only two arguments
-    assert partial_bell([1, 2], 3, 2) == 6
+    # B(n, k) reads only x_1..x_(n-k+1): B(3, 2) = 3 x_1 x_2 whatever x_3 is
+    assert bell_table([1, 2, 0], 3)[3][2] == bell_table([1, 2, 99], 3)[3][2] == 6
+    for n in range(1, 7):
+        changed = [3, 1, 4, 1, 5, 9][: n - 1] + [-7]
+        for k in range(2, n + 1):
+            assert bell_table(changed, n)[n][k] == bell_table([3, 1, 4, 1, 5, 9], n)[n][k]
 
 
 def test_homogeneity():
     x = [3, 1, 4, 1, 5, 9]
     scaled = [2**i * x[i - 1] for i in range(1, 7)]
+    table, scaled_table = bell_table(x, 6), bell_table(scaled, 6)
     for n in range(1, 7):
         for k in range(1, n + 1):
-            assert partial_bell(scaled, n, k) == 2**n * partial_bell(x, n, k)
+            assert scaled_table[n][k] == 2**n * table[n][k]
 
 
 def test_negative_arguments_allowed():
-    assert partial_bell([-1, 2], 3, 2) == -6
+    assert bell_table([-1, 2, 0], 3)[3][2] == -6
     table = bell_table([-2, 3, -5, 7], 4)
     assert table[4][4] == (-2) ** 4
 
 
 def test_table_matches_pointwise():
+    # a zero argument, x_2 = 0, drops every partition with a block of two
     x = [2, 0, 3, 1, 4, 2]
-    table = bell_table(x, 6)
-    for n in range(7):
-        for k in range(n + 1):
-            assert table[n][k] == partial_bell(x, n, k)
+    assert bell_table(x, 6) == brute_bell_table(x, 6)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.lists(st.integers(-9, 9) | st.integers(-(2**65), 2**65), min_size=0, max_size=7))
+def test_table_matches_set_partitions(x):
+    assert bell_table(x, len(x)) == brute_bell_table(x, len(x))
 
 
 def test_argument_validation():
     with pytest.raises(ValueError):
-        partial_bell([1, 2], 2, 3)
-    with pytest.raises(ValueError):
-        partial_bell([1], 3, 1)
-    with pytest.raises(ValueError):
         bell_table([1, 2], 3)
     with pytest.raises(ValueError):
         bell_table([1.5, 2], 2)
+    with pytest.raises(ValueError, match=r"^arguments must be integers, got True$"):
+        bell_table([True, 2], 2)
 
 
 def test_bell_triangle_refuses_an_inexact_scaling(monkeypatch):
@@ -118,6 +149,13 @@ def test_invert_identity_refuses_short_arguments():
     with pytest.raises(ValueError, match=r"need x_1\.\.x_5, got 2 arguments"):
         bell_invert_identity_check([1, 2], 5)
     assert bell_invert_identity_check([1, 2, 0, 3, 1, 9], 5)
+
+
+def test_invert_identity_refuses_negative_arguments():
+    # bell_table takes any integers, but the invert transform takes a seed
+    assert bell_table([-1, 2], 2) == [[1], [0, -1], [0, 2, 1]]
+    with pytest.raises(InvalidSeedError, match=r"got -1$"):
+        bell_invert_identity_check([-1, 2], 2)
 
 
 def test_invert_identity_at_order_zero_and_below():

@@ -15,14 +15,11 @@ from comptri import (
     check_chebyshev,
     check_power_expansion,
     check_word_binomial,
-    extended_binomial,
     make_seed,
     mark_histogram,
     oracle_model,
     triangle_recurrence,
 )
-
-F = make_seed("ones", 5)
 
 
 # one row per guard: call, exception type, message
@@ -43,10 +40,6 @@ GUARDS = {
     ),
     "triangle_recurrence-order-zero": (
         lambda: triangle_recurrence(make_seed("ones", 3), 1, 0), ValueError, "order must be >= 1"
-    ),
-    "extended_binomial-k-zero": (lambda: extended_binomial(F, 0, 1), ValueError, "k must be >= 1"),
-    "extended_binomial-n-negative": (
-        lambda: extended_binomial(F, 1, -1), ValueError, "n must be >= 0"
     ),
     "mark_histogram-marked-letter-outside": (
         lambda: mark_histogram(2, 3, R.NONE, 2),

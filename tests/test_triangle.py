@@ -12,7 +12,6 @@ from comptri import (
     InsufficientSeedError,
     OutputSizeError,
     closed_form,
-    extended_binomial,
     iterate_invert,
     make_seed,
     mat_mul,
@@ -249,8 +248,8 @@ def test_row_sums_equal_transform(preset):
 
 
 def test_ones_triangle_is_binomial():
-    tri = triangle_recurrence(make_seed("ones", 8), 1, 8)
-    for n in range(1, 9):
+    tri = triangle_recurrence(make_seed("ones", 12), 1, 12)
+    for n in range(1, 13):
         for k in range(1, n + 1):
             assert tri.entry(n, k) == comb(n - 1, k - 1)
     tri2 = triangle_recurrence(make_seed("ones", 8), 2, 8)
@@ -287,7 +286,8 @@ def test_order_cap():
     for build in ROUTES.values():
         with pytest.raises(ValueError):
             build(f0, 1, 65)
-        assert build(f0, 1, 64).order == 64
+        # the all-ones triangle is binomial up to the cap: c(64, 32) = C(63, 31)
+        assert build(f0, 1, 64).entry(64, 32) == comb(63, 31)
 
 
 def test_long_seed_is_cut_to_the_order(monkeypatch):
@@ -309,7 +309,7 @@ def test_output_size_bound_refuses_every_route():
             build(ones, 2**700, 20)
         assert build(ones, 2**600, 20).order == 20
     with pytest.raises(OutputSizeError):
-        extended_binomial(ArithmeticFunction((2**11999, 1)), 1, 1)
+        triangle_recurrence(ArithmeticFunction((2**11999, 1)), 1, 2)
 
 
 def test_depth_validation():
@@ -317,29 +317,3 @@ def test_depth_validation():
     for build in ROUTES.values():
         with pytest.raises(ValueError):
             build(f0, 0, 4)
-
-
-def test_extended_binomial_reduces_to_binomial():
-    ones = make_seed("ones", 12)
-    for k in range(1, 6):
-        for n in range(0, 7):
-            assert extended_binomial(ones, k, n) == comb(n + k - 1, k - 1)
-
-
-def test_extended_binomial_weighted():
-    fib = make_seed("fib", 8)
-    assert extended_binomial(fib, 3, 2) == 3
-    # alias check: the entry c(n, k) is the coefficient at (k, n-k)
-    tri = triangle_recurrence(fib, 1, 8)
-    for n in range(1, 9):
-        for k in range(1, n + 1):
-            assert extended_binomial(fib, k, n - k) == tri.entry(n, k)
-    with pytest.raises(InsufficientSeedError):
-        extended_binomial(fib, 5, 6)
-
-
-def test_extended_binomial_order_cap():
-    ones = make_seed("ones", 200)
-    with pytest.raises(ValueError):
-        extended_binomial(ones, 32, 33)
-    assert extended_binomial(ones, 32, 32) == comb(63, 31)
