@@ -25,19 +25,31 @@ from .pascal import LowerTriangularMatrix, mat_mul, pascal_lower
 from .sequences import ArithmeticFunction, invert_transform
 
 
-def bell_table(x: Sequence[int], n_max: int) -> list[list[int]]:
-    """Table of B(n, k) for 0 <= k <= n <= n_max, as ragged rows.
-
-    ``x`` is 1-based: ``x[i - 1]`` plays the role of x_i.  Entries may be
-    negative; they must be integers, and never ``bool``.
-    """
+def _check_prefix(x: Sequence, n_max: int) -> None:
+    """Refuse an n_max that is not an int >= 0, or fewer than n_max arguments."""
+    if isinstance(n_max, bool) or not isinstance(n_max, int):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if len(x) < n_max:
         raise ValueError(f"need x_1..x_{n_max}, got {len(x)} arguments")
+
+
+def _check_arguments(x: Sequence, n_max: int) -> None:
+    """Also refuse an argument among x_1..x_{n_max} that is not an int, or is a bool."""
+    _check_prefix(x, n_max)
     for v in x[:n_max]:
         if isinstance(v, bool) or not isinstance(v, int):
             raise ValueError(f"arguments must be integers, got {v!r}")
+
+
+def bell_table(x: Sequence[int], n_max: int) -> list[list[int]]:
+    """Table of B(n, k) for 0 <= k <= n <= n_max, as ragged rows.
+
+    ``x`` is 1-based: ``x[i - 1]`` plays the role of x_i.  Entries may be
+    negative; they must be integers, and never ``bool``; so must ``n_max``.
+    """
+    _check_arguments(x, n_max)
     table: list[list[int]] = [[1]]
     for n in range(1, n_max + 1):
         # weights[i] = C(n-1, i) x_{i+1}, shared by every k of the row
@@ -55,7 +67,9 @@ def bell_table(x: Sequence[int], n_max: int) -> list[list[int]]:
 def bell_triangle(w: Sequence[int], order: int) -> LowerTriangularMatrix:
     """c(n, k) = (k! / n!) B_{n,k}(1! w_1, 2! w_2, ...) for 1 <= k <= n <= order.
     That is the total w-weight of the compositions of n into k parts, so every
-    (k! / n!) scaling is exact; a remainder raises InternalConsistencyError."""
+    (k! / n!) scaling is exact; a remainder raises InternalConsistencyError.
+    ``w`` and ``order`` are checked as bell_table checks x and n_max, unscaled."""
+    _check_arguments(w, order)
     fact = [1]
     for i in range(1, order + 1):
         fact.append(fact[-1] * i)
@@ -91,10 +105,7 @@ def bell_invert_identity_check(x: Sequence[int], n_max: int) -> bool:
     y comes from invert_transform, whose argument is an ArithmeticFunction,
     so a negative or non-integer argument raises InvalidSeedError.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if len(x) < n_max:
-        raise ValueError(f"need x_1..x_{n_max}, got {len(x)} arguments")
+    _check_prefix(x, n_max)
     if n_max == 0:
         return True
     y = invert_transform(ArithmeticFunction(tuple(x[:n_max]))).values

@@ -6,25 +6,18 @@ endings and is deterministic for a fixed invocation.
 
 ``triangle`` builds each route that --algo names from ``triangle.ROUTES``
 and reports the entries where ``triangle.disagreements`` finds them differ.
-``triangle --algo all`` builds the conv and bell routes in a child made by
-os.fork while this process builds recurrence and pascal, and ``verify`` with
-no --suite runs the binomial, bell, pascal and closed-forms suites in such a
-child while this process runs row-sums, chebyshev and word-binomial.  Both
-fork when os.fork exists and more than one CPU is usable (the affinity mask,
-else os.cpu_count()); otherwise this process does all the work.  The fork
-costs about 2-3 ms per call, so at N=64 on a wide seed the call takes about
-the time of its slower half instead of the sum.  The output, the exit code
-and the reported failure are those of an in-process run.
+``triangle --algo all`` and ``verify`` with no --suite hand the routes in
+_CHILD_ROUTES, or the suites in _CHILD_SUITES, to a child made by os.fork
+when os.fork exists and more than one CPU is usable (the affinity mask, else
+os.cpu_count()); otherwise this process does all the work.  The fork costs
+about 2-3 ms per call, so at N=64 on a wide seed the call takes about the
+time of its slower half instead of the sum.  The output, the exit code and
+the reported failure are those of an in-process run.
 
 Startup imports only what every command needs.  ``json`` is imported by the
 ``--format json`` branches, ``pickle`` by the commands that fork, and numpy
 by word enumeration (see :mod:`comptri.words`), so a csv ``transform`` loads
 none of them.
-
-``main`` parses with one parser per process, built by :func:`build_parser`
-on its first call and reused by every later call: building all four
-subcommands takes about as long as a small command, and argparse keeps no
-state from one parse to the next.  Importing the module builds nothing.
 """
 
 from __future__ import annotations
@@ -53,12 +46,12 @@ BUDGET_CAP = 1 << 30  # under half a minute at about 5e7 words/s
 # best of 3 on 2 vCPUs), the best-balanced split
 _CHILD_ROUTES = ("conv", "bell")
 # `verify` with no --suite runs these suites in a forked child while it runs
-# the others: at default bounds they take about 27 ms against about 23 ms for
-# row-sums, chebyshev and word-binomial (each suite's best of 9 on 2 vCPUs),
-# and the two word-counting suites stay here, so numpy is imported only in
-# this process.  Moving binomial, bell or both of them here changes a default
-# verify by under 1 ms, within its run-to-run spread.
-_CHILD_SUITES = ("binomial", "bell", "pascal", "closed-forms")
+# the others: at default bounds they take about 17 ms against about 18 ms for
+# row-sums, binomial, chebyshev and word-binomial (each suite's best of 15 on
+# 2 vCPUs), and the word-counting suites stay here, so numpy is imported only
+# in this process.  A default verify takes 20.2 ms in process (median of 100),
+# 20.9 ms with binomial in the child too, and 20.1 ms with bell here instead.
+_CHILD_SUITES = ("bell", "pascal", "closed-forms")
 
 
 def _parse_seed_list(text: str) -> list[int]:
@@ -340,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None  # main's parser, built on its first call
+# main's parser, built on its first call and reused by every later one: building
+# it takes about as long as a small command, and argparse keeps no state between parses
+_parser: argparse.ArgumentParser | None = None
 
 
 def main(argv: Sequence[str] | None = None) -> int:

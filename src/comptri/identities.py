@@ -1,14 +1,15 @@
 """Closed forms for preset triangles and stand-alone identity checkers.
 
-The binomial helper here returns 0 outside 0 <= k <= n, which lets the
-closed forms carry their own support conditions: a formula summed over a
-generous index range still vanishes exactly where the triangle does.
+Each sum runs only over the indices where every binomial in its terms is in
+support, 0 <= k <= n, so it calls math.comb directly; a sum with no such
+index is 0, exactly where the triangle vanishes.  ``binom``, which returns 0
+outside the support, serves the word-count checkers.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+from math import comb
 
 from .records import Record, set_field
 from .sequences import Preset, make_seed
@@ -19,7 +20,7 @@ PolynomialZ = tuple[int, ...]
 
 def binom(n: int, k: int) -> int:
     """C(n, k), defined as 0 whenever k < 0, n < 0 or k > n."""
-    return math.comb(n, k) if 0 <= k <= n else 0
+    return comb(n, k) if 0 <= k <= n else 0
 
 
 def closed_form(preset: Preset | str, m: int, n: int, k: int) -> int:
@@ -36,33 +37,23 @@ def closed_form(preset: Preset | str, m: int, n: int, k: int) -> int:
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if preset is Preset.ONES:
-        return m ** (n - k) * binom(n - 1, k - 1)
-    if preset is Preset.FIB:
-        return sum(
-            (m - 1) ** j * binom(j + k - 1, k - 1) * binom(j + k, n - j - k)
-            for j in range(n - k + 1)
-        )
+        return m ** (n - k) * comb(n - 1, k - 1)
+    if preset is Preset.FIB:  # C(j+k, n-j-k) needs 0 <= n-j-k <= j+k
+        return sum((m - 1) ** j * comb(j + k - 1, k - 1) * comb(j + k, n - j - k)
+                   for j in range(max(0, (n + 1) // 2 - k), n - k + 1))
     if preset is Preset.ODD:
         if m != 1:
             raise ValueError("no explicit form is available beyond depth 1")
-        if (n - k) % 2:
-            return 0
-        return binom((n - k) // 2 + k - 1, k - 1)
-    if preset is Preset.NATURAL:
-        return sum(
-            (m - 1) ** (i - k) * binom(i - 1, k - 1) * binom(n + i - 1, 2 * i - 1)
-            for i in range(k, n + 1)
-        )
-    if preset is Preset.GE2:
-        return sum(
-            (m - 1) ** j * binom(j + k - 1, k - 1) * binom(n - k - j - 1, k + j - 1)
-            for j in range(max(0, n // 2 - k) + 1)
-        )
-    if preset is Preset.TWO_THREE:
-        return sum(
-            (m - 1) ** j * binom(j + k - 1, k - 1) * binom(k + j, n - 2 * k - 2 * j)
-            for j in range(n // 2 + 1)
-        )
+        return 0 if (n - k) % 2 else comb((n - k) // 2 + k - 1, k - 1)
+    if preset is Preset.NATURAL:  # C(n+i-1, 2i-1) needs i <= n
+        return sum((m - 1) ** (i - k) * comb(i - 1, k - 1) * comb(n + i - 1, 2 * i - 1)
+                   for i in range(k, n + 1))
+    if preset is Preset.GE2:  # C(n-k-j-1, k+j-1) needs 0 <= k+j-1 <= n-k-j-1
+        return sum((m - 1) ** j * comb(j + k - 1, k - 1) * comb(n - k - j - 1, k + j - 1)
+                   for j in range(n // 2 - k + 1))
+    if preset is Preset.TWO_THREE:  # C(k+j, n-2k-2j) needs 0 <= n-2k-2j <= k+j
+        return sum((m - 1) ** j * comb(j + k - 1, k - 1) * comb(k + j, n - 2 * k - 2 * j)
+                   for j in range(max(0, -(-n // 3) - k), n // 2 - k + 1))
 
 
 class FormCheck(Record):
@@ -90,9 +81,7 @@ def check_closed_forms(preset: Preset | str, order: int) -> list[FormCheck]:
     """
     preset = Preset(preset)
     results: list[FormCheck] = []
-    for m in (1, 2, 3):
-        if preset is Preset.ODD and m != 1:
-            continue
+    for m in (1,) if preset is Preset.ODD else (1, 2, 3):
         tri = triangle_recurrence(make_seed(preset, order), m, order)
         for n, row in enumerate(tri.rows, start=1):
             for k, engine in enumerate(row, start=1):
@@ -104,8 +93,8 @@ def check_binomial_inversion(n: int, k: int) -> bool:
     """C(n-1, k-1) == sum_{j=1}^{k} (-1)^(j+k) C(k, j) C(n+j-1, n)."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    rhs = sum((-1) ** (j + k) * binom(k, j) * binom(n + j - 1, n) for j in range(1, k + 1))
-    return binom(n - 1, k - 1) == rhs
+    rhs = sum((-1) ** (j + k) * comb(k, j) * comb(n + j - 1, n) for j in range(1, k + 1))
+    return comb(n - 1, k - 1) == rhs
 
 
 def check_power_expansion(m: int, n: int, k: int) -> bool:
@@ -114,11 +103,8 @@ def check_power_expansion(m: int, n: int, k: int) -> bool:
         raise ValueError("defined for m > 1")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    lhs = m ** (n - k) * binom(n - 1, k - 1)
-    rhs = sum(
-        (m - 1) ** j * binom(n - 1, k + j - 1) * binom(k + j - 1, j)
-        for j in range(n - k + 1)
-    )
+    lhs = m ** (n - k) * comb(n - 1, k - 1)
+    rhs = sum((m - 1) ** j * comb(n - 1, k + j - 1) * comb(k + j - 1, j) for j in range(n - k + 1))
     return lhs == rhs
 
 

@@ -27,7 +27,7 @@ from .identities import (
     check_power_expansion,
     check_word_binomial,
 )
-from .pascal import mat_mul, mat_pow, pascal_lower, shifted_pascal_inverse
+from .pascal import LowerTriangularMatrix, mat_mul, mat_pow, pascal_lower, shifted_pascal_inverse
 from .records import Record, set_field
 from .sequences import ArithmeticFunction, Preset, iterate_invert, make_seed
 from .triangle import row_sum, transform_via_triangle, triangle_recurrence
@@ -82,18 +82,20 @@ def combine(*sweeps: Sweep) -> Sweep:
     )
 
 
-def preset_seeds(n_terms: int) -> list[ArithmeticFunction]:
-    """f_0(1..n_terms) of each preset, labelled with its name."""
-    return [make_seed(p, n_terms) for p in Preset]
+def depth_one_triangles(n_max: int) -> dict[Preset, LowerTriangularMatrix]:
+    """The depth-1 triangle of each preset to order n_max, by the recurrence."""
+    return {p: triangle_recurrence(make_seed(p, n_max), 1, n_max) for p in Preset}
 
 
 @_sweep
-def row_sums(n_max: int):
-    """Row n of the depth-m triangle sums to f_m(n), for the presets, m <= 5, n <= n_max."""
+def row_sums(n_max: int, bases: dict[Preset, LowerTriangularMatrix] | None = None):
+    """Row n of the depth-m triangle sums to f_m(n), for the presets, m <= 5, n <= n_max;
+    ``bases``, when given, is depth_one_triangles(n_max)."""
+    bases = bases or depth_one_triangles(n_max)
     for preset in Preset:
         f0 = make_seed(preset, n_max)
         for m in DEPTHS:
-            tri = triangle_recurrence(f0, m, n_max)
+            tri = bases[preset] if m == 1 else triangle_recurrence(f0, m, n_max)
             fm = iterate_invert(f0, m)
             for n in range(1, n_max + 1):
                 yield row_sum(tri, n) == fm(n) or (
@@ -102,11 +104,12 @@ def row_sums(n_max: int):
 
 
 @_sweep
-def depth_one_expansion(n_max: int):
-    """f_m(n) = sum_i m^(i-1) c_1(n, i), for the presets, m <= 5, n <= n_max."""
-    for preset in Preset:
+def depth_one_expansion(n_max: int, bases: dict[Preset, LowerTriangularMatrix] | None = None):
+    """f_m(n) = sum_i m^(i-1) c_1(n, i), for the presets, m <= 5, n <= n_max;
+    ``bases`` as in row_sums."""
+    bases = bases or depth_one_triangles(n_max)
+    for preset, base in bases.items():
         f0 = make_seed(preset, n_max)
-        base = triangle_recurrence(f0, 1, n_max)
         for m in DEPTHS:
             fm = iterate_invert(f0, m)
             powers = [m**i for i in range(n_max)]
@@ -238,10 +241,14 @@ def suites(cap: int | None = None, budget: int = DEFAULT_BUDGET) -> dict[str, Ca
     def bound(default: int) -> int:
         return default if cap is None else cap
 
+    def row_sums_suite() -> Sweep:
+        bases = depth_one_triangles(bound(30))
+        return combine(row_sums(bound(30), bases), depth_one_expansion(bound(30), bases))
+
     return {
-        "row-sums": lambda: combine(row_sums(bound(30)), depth_one_expansion(bound(30))),
+        "row-sums": row_sums_suite,
         "binomial": lambda: binomial_identities(bound(20), min(bound(20), 18)),
-        "bell": lambda: bell_identity(preset_seeds(bound(10)), bound(10)),
+        "bell": lambda: bell_identity([make_seed(p, bound(10)) for p in Preset], bound(10)),
         "pascal": lambda: pascal_relations(bound(16), min(bound(16), 12), [min(bound(20), 20)]),
         "closed-forms": lambda: closed_forms(bound(20)),
         "chebyshev": lambda: chebyshev(bound(16), budget),

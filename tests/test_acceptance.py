@@ -96,7 +96,7 @@ def test_criterion_06_binomial_identities(capsys):
 def test_criterion_07_bell_identity(capsys):
     t0 = time.perf_counter()
     rng = random.Random(90125)
-    seeds = verify.preset_seeds(10) + [
+    seeds = [make_seed(p, 10) for p in PRESETS] + [
         ArithmeticFunction(tuple(rng.randrange(4) for _ in range(10)), f"random seed {trial}")
         for trial in range(20)
     ]

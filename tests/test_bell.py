@@ -115,6 +115,24 @@ def test_argument_validation():
         bell_table([True, 2], 2)
 
 
+def test_bell_triangle_checks_its_arguments_before_it_scales_them():
+    # scaled by 1!, True would be the int 1; a short w would run off its end
+    with pytest.raises(ValueError, match=r"^arguments must be integers, got True$"):
+        bell.bell_triangle([True, 2], 2)
+    with pytest.raises(ValueError, match=r"^need x_1\.\.x_3, got 2 arguments$"):
+        bell.bell_triangle([1, 2], 3)
+    assert bell.bell_triangle([1, 2, 9], 2).rows == ((1,), (2, 1))
+
+
+@pytest.mark.parametrize("n_max", [2.5, True])
+def test_table_refuses_an_order_that_is_not_an_int(n_max):
+    # True would be read as the order 1
+    with pytest.raises(ValueError, match=rf"^n_max must be an integer, got {n_max!r}$"):
+        bell_table([1, 2, 3], n_max)
+    with pytest.raises(ValueError, match=rf"^n_max must be an integer, got {n_max!r}$"):
+        bell.bell_triangle([1, 2, 3], n_max)
+
+
 def test_bell_triangle_refuses_an_inexact_scaling(monkeypatch):
     # B(3, 1) one too high leaves c(3, 1) = (1!/3!) B(3, 1) with a remainder
     table = bell.bell_table

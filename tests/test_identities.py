@@ -131,6 +131,42 @@ def test_closed_form_limits():
         closed_form("ones", 1, 3, 4)
 
 
+def full_range_form(preset, m, n, k):
+    """closed_form summed over the index ranges it used before each sum was cut
+    to its support, so the terms outside it vanish only by binom's zeros."""
+    if preset == "ones":
+        return m ** (n - k) * binom(n - 1, k - 1)
+    if preset == "fib":
+        terms = ((m - 1) ** j * binom(j + k - 1, k - 1) * binom(j + k, n - j - k) for j in range(n - k + 1))
+    if preset == "odd":
+        return 0 if (n - k) % 2 else binom((n - k) // 2 + k - 1, k - 1)
+    if preset == "natural":
+        terms = (
+            (m - 1) ** (i - k) * binom(i - 1, k - 1) * binom(n + i - 1, 2 * i - 1) for i in range(k, n + 1)
+        )
+    if preset == "ge2":
+        terms = (
+            (m - 1) ** j * binom(j + k - 1, k - 1) * binom(n - k - j - 1, k + j - 1)
+            for j in range(max(0, n // 2 - k) + 1)
+        )
+    if preset == "two_three":
+        terms = (
+            (m - 1) ** j * binom(j + k - 1, k - 1) * binom(k + j, n - 2 * k - 2 * j) for j in range(n // 2 + 1)
+        )
+    return sum(terms)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_closed_form_grid(preset):
+    # far past the verify suite's order 20 and m <= 3: a sum cut one term short
+    # of its support differs somewhere here from the full range and the recurrence
+    for m in (1,) if preset == "odd" else range(1, 6):
+        tri = triangle_recurrence(make_seed(preset, 40), m, 40)
+        for n, row in enumerate(tri.rows, start=1):
+            for k, entry in enumerate(row, start=1):
+                assert closed_form(preset, m, n, k) == full_range_form(preset, m, n, k) == entry, (m, n, k)
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_closed_forms_match_engine(preset):
     results = check_closed_forms(preset, 14)
