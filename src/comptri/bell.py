@@ -36,7 +36,7 @@ def _check_prefix(x: Sequence, n_max: int) -> None:
 
 
 def _check_arguments(x: Sequence, n_max: int) -> None:
-    """Also refuse an argument among x_1..x_{n_max} that is not an int, or is a bool."""
+    """_check_prefix, then refuse an argument x_1..x_{n_max} that is not an int, or is a bool."""
     _check_prefix(x, n_max)
     for v in x[:n_max]:
         if isinstance(v, bool) or not isinstance(v, int):

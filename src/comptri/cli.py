@@ -46,7 +46,7 @@ BUDGET_CAP = 1 << 30  # under half a minute at about 5e7 words/s
 # best of 3 on 2 vCPUs), the best-balanced split
 _CHILD_ROUTES = ("conv", "bell")
 # `verify` with no --suite runs these suites in a forked child while it runs
-# the others: at default bounds they take about 17 ms against about 18 ms for
+# the others: at default bounds they take about 17 ms against about 17.5 ms for
 # row-sums, binomial, chebyshev and word-binomial (each suite's best of 15 on
 # 2 vCPUs), and the word-counting suites stay here, so numpy is imported only
 # in this process.  A default verify takes 20.2 ms in process (median of 100),
