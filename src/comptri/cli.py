@@ -4,15 +4,15 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 enumeration
 budget or output-size bound exceeded.  All output is UTF-8 with LF line
 endings and is deterministic for a fixed invocation.
 
-``triangle`` builds each route that --algo names from ``triangle.ROUTES``
-and reports the entries where ``triangle.disagreements`` finds them differ.
+``triangle`` builds each route that --algo names from ``triangle.ROUTES``,
+formats the first one's triangle once it is built, and prints that text only
+if ``triangle.disagreements`` finds no entry where the routes differ.
 ``triangle --algo all`` and ``verify`` with no --suite hand the routes in
 _CHILD_ROUTES, or the suites in _CHILD_SUITES, to a child made by os.fork
 when os.fork exists and more than one CPU is usable (the affinity mask, else
-os.cpu_count()); otherwise this process does all the work.  The fork costs
-about 2-3 ms per call, so at N=64 on a wide seed the call takes about the
-time of its slower half instead of the sum.  The output, the exit code and
-the reported failure are those of an in-process run.
+os.cpu_count()); otherwise this process does all the work.  A fork costs
+about 1.7 ms, so a wide triangle at N=64 takes about the time of the slower
+side, with the formatting on this one, and prints what one process would.
 
 Startup imports only what every command needs.  ``json`` is imported by the
 ``--format json`` branches, ``pickle`` by the commands that fork, and numpy
@@ -41,16 +41,14 @@ EXIT_BUDGET = 3
 BUDGET_CAP = 1 << 30  # under half a minute at about 5e7 words/s
 
 # `triangle --algo all` builds these routes in a forked child while it builds
-# the others: over the 32 triangles at N=64 of one perfbench algebra pass they
-# take about 0.57 s against 0.56 s for recurrence and pascal (each triangle's
-# best of 3 on 2 vCPUs), the best-balanced split
+# and formats the others: over the 32 triangles at N=64 of one perfbench algebra
+# pass, 0.44 s against 0.50 s (each triangle's best of 3 on 2 vCPUs); a pass is
+# 6% slower with bell and pascal in the child, the next best split
 _CHILD_ROUTES = ("conv", "bell")
 # `verify` with no --suite runs these suites in a forked child while it runs
-# the others: at default bounds they take about 17 ms against about 17.5 ms for
-# row-sums, binomial, chebyshev and word-binomial (each suite's best of 15 on
-# 2 vCPUs), and the word-counting suites stay here, so numpy is imported only
-# in this process.  A default verify takes 20.2 ms in process (median of 100),
-# 20.9 ms with binomial in the child too, and 20.1 ms with bell here instead.
+# the others, about 17 ms against 17.4 ms at default bounds (each suite's best
+# of 15 on 2 vCPUs); the word-counting suites stay here, so numpy is imported
+# only in this process, and no other split measured was faster
 _CHILD_SUITES = ("bell", "pascal", "closed-forms")
 
 
@@ -119,19 +117,11 @@ def _emit_triangle(seed_repr, m: int, n: int, rows, fmt: str) -> str:
     if fmt == "json":
         import json
 
-        doc = {
-            "seed": seed_repr,
-            "m": m,
-            "N": n,
-            "rows": [[str(v) for v in row] for row in rows],
-        }
+        doc = {"seed": seed_repr, "m": m, "N": n, "rows": [[str(v) for v in row] for row in rows]}
         return json.dumps(doc) + "\n"
     if fmt == "csv":
-        lines = ["n,k,value"]
-        for i, row in enumerate(rows, start=1):
-            for j, v in enumerate(row, start=1):
-                lines.append(f"{i},{j},{v}")
-        return "\n".join(lines) + "\n"
+        lines = [f"{i},{j},{v}" for i, row in enumerate(rows, start=1) for j, v in enumerate(row, start=1)]
+        return "\n".join(["n,k,value", *lines]) + "\n"
     return _emit_sequence(seed_repr, m, n, [v for row in rows for v in row], fmt)
 
 
@@ -181,8 +171,12 @@ def _run_forked(child, own, jobs) -> dict:
         code = 1
         try:
             os.close(read)
+            done = _run_jobs(child, jobs)
+            # a result equal to an earlier one is sent as that object, which pickle writes once
+            for name, result in done.items():
+                done[name] = next(r for r in done.values() if type(r) is type(result) and r == result)
             with os.fdopen(write, "wb") as out:
-                pickle.dump(_run_jobs(child, jobs), out, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(done, out, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
@@ -226,7 +220,15 @@ def _cmd_triangle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     seed, seed_repr, n = _resolve_seed(args, parser)
     names = list(ROUTES) if args.algo == "all" else [args.algo]
     jobs = {name: lambda build=ROUTES[name]: build(seed, args.m, n).rows for name in names}
+
+    # formatted here as soon as it is built, while a forked child still builds
+    def build_and_emit(build=jobs[names[0]]):
+        rows = build()
+        return rows, _emit_triangle(seed_repr, args.m, n, rows, args.format)
+
+    jobs[names[0]] = build_and_emit
     triangles = dict(_run_in_order(names, _CHILD_ROUTES, jobs))
+    triangles[names[0]], text = triangles[names[0]]
     found = disagreements(triangles)
     if found:
         for ni, ki, vals in found[:20]:
@@ -234,7 +236,7 @@ def _cmd_triangle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             sys.stderr.write(f"disagreement at n={ni} k={ki}: {detail}\n")
         sys.stderr.write(f"{len(found)} disagreeing entries\n")
         return EXIT_FAIL
-    sys.stdout.write(_emit_triangle(seed_repr, args.m, n, triangles[names[0]], args.format))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -45,11 +45,8 @@ n >= 1; each keeps its own column 0 while it fills the rows, so that
 neither route's conventions can mask a bug in the other's.
 
 ROUTES is the one table of the routes, by `comptri triangle --algo` name,
-and disagreements the one comparison of their triangles.
-`comptri triangle --algo all` builds triangle_convolution and triangle_bell
-in a forked child while it builds the other two, when more than one CPU is
-usable, so those two routes share no memory with the others there; see
-comptri.cli.
+and disagreements the one comparison of their triangles.  `comptri triangle
+--algo all` may build some routes in a forked child; see comptri.cli.
 """
 
 from __future__ import annotations

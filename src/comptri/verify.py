@@ -82,21 +82,23 @@ def combine(*sweeps: Sweep) -> Sweep:
     )
 
 
-def depth_one_triangles(n_max: int) -> dict[Preset, LowerTriangularMatrix]:
-    """The depth-1 triangle of each preset to order n_max, by the recurrence."""
-    return {p: triangle_recurrence(make_seed(p, n_max), 1, n_max) for p in Preset}
+def row_sum_inputs(n_max: int) -> tuple[dict[Preset, LowerTriangularMatrix], dict]:
+    """Each preset's depth-1 triangle to order n_max, by the recurrence, and its
+    f_m to order n_max by (preset, m) for m in DEPTHS."""
+    bases = {p: triangle_recurrence(make_seed(p, n_max), 1, n_max) for p in Preset}
+    return bases, {(p, m): iterate_invert(make_seed(p, n_max), m) for p in Preset for m in DEPTHS}
 
 
 @_sweep
-def row_sums(n_max: int, bases: dict[Preset, LowerTriangularMatrix] | None = None):
+def row_sums(n_max: int, inputs: tuple[dict, dict] | None = None):
     """Row n of the depth-m triangle sums to f_m(n), for the presets, m <= 5, n <= n_max;
-    ``bases``, when given, is depth_one_triangles(n_max)."""
-    bases = bases or depth_one_triangles(n_max)
+    ``inputs``, when given, is row_sum_inputs(n_max)."""
+    bases, transforms = inputs or row_sum_inputs(n_max)
     for preset in Preset:
         f0 = make_seed(preset, n_max)
         for m in DEPTHS:
             tri = bases[preset] if m == 1 else triangle_recurrence(f0, m, n_max)
-            fm = iterate_invert(f0, m)
+            fm = transforms[preset, m]
             for n in range(1, n_max + 1):
                 yield row_sum(tri, n) == fm(n) or (
                     f"{preset.value} m={m} n={n}: row sum != transform"
@@ -104,14 +106,13 @@ def row_sums(n_max: int, bases: dict[Preset, LowerTriangularMatrix] | None = Non
 
 
 @_sweep
-def depth_one_expansion(n_max: int, bases: dict[Preset, LowerTriangularMatrix] | None = None):
+def depth_one_expansion(n_max: int, inputs: tuple[dict, dict] | None = None):
     """f_m(n) = sum_i m^(i-1) c_1(n, i), for the presets, m <= 5, n <= n_max;
-    ``bases`` as in row_sums."""
-    bases = bases or depth_one_triangles(n_max)
+    ``inputs`` as in row_sums."""
+    bases, transforms = inputs or row_sum_inputs(n_max)
     for preset, base in bases.items():
-        f0 = make_seed(preset, n_max)
         for m in DEPTHS:
-            fm = iterate_invert(f0, m)
+            fm = transforms[preset, m]
             powers = [m**i for i in range(n_max)]
             for n, row in enumerate(base.rows, start=1):
                 yield sum(map(mul, row, powers)) == fm(n) or (
@@ -242,8 +243,8 @@ def suites(cap: int | None = None, budget: int = DEFAULT_BUDGET) -> dict[str, Ca
         return default if cap is None else cap
 
     def row_sums_suite() -> Sweep:
-        bases = depth_one_triangles(bound(30))
-        return combine(row_sums(bound(30), bases), depth_one_expansion(bound(30), bases))
+        inputs = row_sum_inputs(bound(30))
+        return combine(row_sums(bound(30), inputs), depth_one_expansion(bound(30), inputs))
 
     return {
         "row-sums": row_sums_suite,

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import comptri
-from comptri import LowerTriangularMatrix, Preset, cli, triangle_bell, triangle_pascal, verify
+from comptri import LowerTriangularMatrix, Preset, cli, triangle_pascal, verify
 from comptri.cli import main
 from comptri.errors import InternalConsistencyError
 from comptri.triangle import ROUTES
@@ -289,11 +289,12 @@ def test_a_parent_route_failure_leaves_no_child(planted, code, stderr):
     assert run_with_a_parent_failure(planted, argv) == (stderr, [code, False])
 
 
-def bell_plus_one(entries):
-    """triangle_bell with 1 added to each (n, k) in ``entries``."""
+def plus_one(route, entries):
+    """The builder ROUTES[route] with 1 added to each (n, k) in ``entries``."""
+    route_build = ROUTES[route]
 
     def build(seed, m, n):
-        rows = [list(row) for row in triangle_bell(seed, m, n).rows]
+        rows = [list(row) for row in route_build(seed, m, n).rows]
         for i, j in entries:
             rows[i - 1][j - 1] += 1
         return LowerTriangularMatrix(tuple(map(tuple, rows)))
@@ -301,19 +302,27 @@ def bell_plus_one(entries):
     return build
 
 
-def test_triangle_disagreement_is_reported(capsys, monkeypatch):
-    monkeypatch.setitem(ROUTES, "bell", bell_plus_one([(3, 2)]))
+@pytest.mark.parametrize("path", BUILD_PATHS)
+@pytest.mark.parametrize(
+    ("route", "detail"),
+    [("bell", "recurrence=4 conv=4 bell=5 pascal=4"), ("recurrence", "recurrence=5 conv=4 bell=4 pascal=4")],
+    ids=["bell", "recurrence"],
+)
+def test_triangle_disagreement_is_reported(capsys, monkeypatch, path, route, detail):
+    # the printed route's text is built before the routes are compared, and dropped
+    path(monkeypatch)
+    monkeypatch.setitem(ROUTES, route, plus_one(route, [(3, 2)]))
     assert run(capsys, "triangle", "--preset", "ones", "--m", "2", "--N", "4", "--algo", "all") == (
         1,
         "",
-        "disagreement at n=3 k=2: recurrence=4 conv=4 bell=5 pascal=4\n"
+        f"disagreement at n=3 k=2: {detail}\n"
         "1 disagreeing entries\n",
     )
 
 
 def test_triangle_disagreement_lists_the_first_twenty(capsys, monkeypatch):
     every = [(i, j) for i in range(1, 8) for j in range(1, i + 1)]
-    monkeypatch.setitem(ROUTES, "bell", bell_plus_one(every))
+    monkeypatch.setitem(ROUTES, "bell", plus_one("bell", every))
     code, out, err = run(capsys, "triangle", "--preset", "ones", "--m", "2", "--N", "7", "--algo", "all")
     lines = err.splitlines()
     assert (code, out, len(lines)) == (1, "", 21)
@@ -322,8 +331,10 @@ def test_triangle_disagreement_lists_the_first_twenty(capsys, monkeypatch):
     assert lines[20] == "28 disagreeing entries"
 
 
-def test_triangle_reports_a_route_of_another_order(capsys, monkeypatch):
+@pytest.mark.parametrize("path", BUILD_PATHS)
+def test_triangle_reports_a_route_of_another_order(capsys, monkeypatch, path):
     # every shared entry agrees, so only the extra row can tell them apart
+    path(monkeypatch)
     def one_row_more(seed, m, n):
         rows = triangle_pascal(seed, m, n).rows
         return LowerTriangularMatrix(rows + (rows[-1] + (1,),))
@@ -337,6 +348,62 @@ def test_triangle_reports_a_route_of_another_order(capsys, monkeypatch):
         "disagreement at n=3 k=3: recurrence=None conv=None bell=None pascal=1\n"
         "3 disagreeing entries\n",
     )
+
+
+@pytest.mark.parametrize("path", BUILD_PATHS)
+def test_the_printed_triangle_is_formatted_once_in_this_process(capsys, monkeypatch, tmp_path, path):
+    # each call of _emit_triangle, in this process or a forked child, appends its pid
+    calls = tmp_path / "calls"
+    calls.touch()
+    emit = cli._emit_triangle
+
+    def spy(*args):
+        with calls.open("a") as log:
+            log.write(f"{os.getpid()}\n")
+        return emit(*args)
+
+    monkeypatch.setattr(cli, "_emit_triangle", spy)
+    path(monkeypatch)
+    argv = ("triangle", "--preset", "fib", "--m", "2", "--N", "9", "--algo")
+    for algo in ("all", "recurrence", "bell"):
+        assert run(capsys, *argv, algo)[0] == 0
+    # a failure after the printed route still formats it; a failure of that route does not
+    monkeypatch.setitem(ROUTES, "pascal", raise_inconsistency)
+    assert run(capsys, *argv, "all") == (2, "", "error: planted failure at N=9\n")
+    monkeypatch.setitem(ROUTES, "recurrence", raise_inconsistency)
+    assert run(capsys, *argv, "all") == (2, "", "error: planted failure at N=9\n")
+    assert calls.read_text().split() == [str(os.getpid())] * 4
+    assert_no_child_left()
+
+
+def raise_planted():
+    raise InternalConsistencyError("planted failure")
+
+
+def typed(done):
+    """Each result with its type; an exception, which crosses the pipe as a
+    copy, as its type and args."""
+    return {name: (type(v), v.args if isinstance(v, Exception) else v) for name, v in done.items()}
+
+
+@pytest.mark.parametrize(
+    ("first", "second", "sent_once"),
+    [
+        # built at each call, so only the child can make the pair one object
+        (lambda: tuple(range(40)), lambda: tuple(range(40)), True),
+        (lambda: 1, lambda: True, False),
+        (lambda: 7, raise_planted, False),
+    ],
+    ids=["equal", "equal-of-two-types", "exception"],
+)
+def test_run_forked_returns_what_run_jobs_returns(first, second, sent_once):
+    jobs = {"own": lambda: "here", "first": first, "second": second, "third": lambda: "after"}
+    child = ["first", "second", "third"]
+    done = cli._run_forked(child, ["own"], jobs)
+    assert typed(done) == typed(cli._run_jobs(["own", *child], jobs))
+    # the child sends an equal pair of one type as one object
+    assert (done["first"] is done["second"]) == sent_once
+    assert_no_child_left()
 
 
 def test_triangle_custom_seed(capsys):
