@@ -11,8 +11,9 @@ if ``triangle.disagreements`` finds no entry where the routes differ.
 _CHILD_ROUTES, or the suites in _CHILD_SUITES, to a child made by os.fork
 when os.fork exists and more than one CPU is usable (the affinity mask, else
 os.cpu_count()); otherwise this process does all the work.  A fork costs
-about 1.7 ms, so a wide triangle at N=64 takes about the time of the slower
-side, with the formatting on this one, and prints what one process would.
+about 1.7 ms, so a wide triangle at N=64 takes about as long as the slower
+side, the formatting counted on this one.  The output, the exit code and the
+reported failure are those of an in-process run.
 
 Startup imports only what every command needs.  ``json`` is imported by the
 ``--format json`` branches, ``pickle`` by the commands that fork, and numpy
@@ -45,10 +46,9 @@ BUDGET_CAP = 1 << 30  # under half a minute at about 5e7 words/s
 # pass, 0.44 s against 0.50 s (each triangle's best of 3 on 2 vCPUs); a pass is
 # 6% slower with bell and pascal in the child, the next best split
 _CHILD_ROUTES = ("conv", "bell")
-# `verify` with no --suite runs these suites in a forked child while it runs
-# the others, about 17 ms against 17.4 ms at default bounds (each suite's best
-# of 15 on 2 vCPUs); the word-counting suites stay here, so numpy is imported
-# only in this process, and no other split measured was faster
+# `verify` with no --suite runs these suites in a forked child while it runs the
+# others, word counting (and numpy) among them: 17 ms against 17.4 ms at default
+# bounds (each suite's best of 15 on 2 vCPUs); no other split measured was faster
 _CHILD_SUITES = ("bell", "pascal", "closed-forms")
 
 

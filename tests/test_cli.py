@@ -335,6 +335,7 @@ def test_triangle_disagreement_lists_the_first_twenty(capsys, monkeypatch):
 def test_triangle_reports_a_route_of_another_order(capsys, monkeypatch, path):
     # every shared entry agrees, so only the extra row can tell them apart
     path(monkeypatch)
+
     def one_row_more(seed, m, n):
         rows = triangle_pascal(seed, m, n).rows
         return LowerTriangularMatrix(rows + (rows[-1] + (1,),))
