@@ -34,6 +34,9 @@ FORMATS = ("csv", "json", "bfile")
 # zeros, f(1) = 0, and a 65-bit value
 CUSTOM = "0,3,0," + str(2**65) + ",1,0,2"
 SUITES = ("row-sums", "binomial", "bell", "pascal", "closed-forms", "chebyshev", "word-binomial")
+# the largest N at m = 3 whose every row fits a budget of 2**22 words: the
+# spaces of 4**11 (natural: 5**9) words span several 2**20-word chunks
+MULTI_CHUNK_N = {"ones": 12, "fib": 12, "odd": 12, "natural": 10, "ge2": 14, "two_three": 12}
 
 
 def argvs() -> list[list[str]]:
@@ -47,6 +50,8 @@ def argvs() -> list[list[str]]:
         for m in (1, 2):
             out.append(["oracle", "--preset", preset, "--m", str(m), "--N", "6"])
         out.append(["oracle", "--preset", preset, "--m", "2", "--N", "8", "--budget", "9"])
+        out.append(["oracle", "--preset", preset, "--m", "3", "--N", str(MULTI_CHUNK_N[preset]),
+                    "--budget", "4194304"])
     for fmt in FORMATS:
         out.append(["transform", "--preset", "fib", "--m", "2", "--N", "9", "--format", fmt])
         out.append(["triangle", "--preset", "natural", "--m", "2", "--N", "6", "--format", fmt])
