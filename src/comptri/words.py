@@ -6,11 +6,13 @@ restriction predicate on each one, never by solving a recurrence.  Counts
 stay exact because they are plain tallies.
 
 Every restriction compares letters only with 0 and 1, so for the predicate
-a word of length L is two L-bit masks: letter p sets bit L-1-p of the zero
-mask if it is 0 and of the one mask if it is 1.  ``check`` is the readable
-spec; enumeration tests each word's masks with a few whole-array uint ops,
-on the narrowest unsigned type that holds bit L (the NO_ODD_ZERO_RUNS
-carry), so short words move few bytes.
+a word of length L is at most two L-bit masks, or planes: letter p sets bit
+L-1-p of the plane of letter c if it is c.  ``_READS`` declares the planes
+each restriction reads: none for NONE, those of 0 and 1 for AVOID_01, and
+that of 0 for the others.  A word carries only those planes through the
+enumeration.  ``check`` is the readable spec; enumeration tests each word's
+planes with a few whole-array uint ops, on the narrowest unsigned type that
+holds bit L (the NO_ODD_ZERO_RUNS carry), so short words move few bytes.
 
 The last letters of every word are grown letter by letter, with the rows
 grouped by mark count: group j, the words with j marked letters, is one run
@@ -19,19 +21,20 @@ letter other than the marked one keeps a row in its group; the marked letter
 moves it up one.  ``mark_histograms`` grows these rows once for a run of
 lengths that does not decrease, and every length reads them.  A space of at
 most ``_TILE`` words is the grown rows of its length, tested whole and
-counted group by group.  A larger space ends in a suffix block of as many
-letters as fit in ``_CHUNK`` rows: the grown rows of the letters below its
-leading letter, under every leading letter.  The leading letter is an axis
-of its own, the marked letter last, so no row carries a mark count.  Each
-chunk is one prefix of the remaining letters with its own mark count: it
-ORs its masks into the block's, and the passing words of each group are
+counted group by group.  A larger space ends in a suffix block: the grown
+rows of the letters below its leading letter, under every leading letter,
+with as many letters as fit in ``_CHUNK`` mask words (planes times rows, a
+word without planes counted as one), so every restriction's blocks have one
+bound in bytes.  The leading letter is an axis of its own, the marked
+letter last, so no row carries a mark count.  Each chunk is one prefix of the remaining letters with its own mark count: it
+ORs its planes into the block's, and the passing words of each group are
 counted with ``count_nonzero``, once under the other leading letters and
 once under the marked one, into the histogram entries of their mark counts
 plus the prefix's.  Prefixes run over the block one ``_TILE`` of rows at a
 time, which stays in cache.  Each word is still built from its own letters
 and tested on its own, once per length asked for; ``mark_histogram`` is the
-one-length case.  A one-letter alphabet has one word, 0^L, tested as one
-pair of masks without the letter-by-letter growth.  ``budget`` bounds
+one-length case.  A one-letter alphabet has one word, 0^L, tested with one
+mask per plane, without the letter-by-letter growth.  ``budget`` bounds
 A**length, for each length before any work on it; larger spaces raise
 EnumerationBudgetError instead of running forever.
 """
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EnumerationBudgetError
 from .records import Record, set_field
@@ -49,8 +52,6 @@ from .sequences import Preset
 # numpy is imported by the functions that enumerate words, on first use:
 # transform, triangle and the algebra suites never enumerate words, so they
 # start without it
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_BUDGET = 1 << 26
 _CHUNK = 1 << 20
@@ -102,6 +103,55 @@ def check(word: Sequence[int], restriction: Restriction) -> bool:
         if any(run > 2 for run in _zero_runs(word)):
             return False
         return all(a == 0 or b == 0 for a, b in zip(word, word[1:]))
+    raise ValueError(f"unknown restriction {restriction!r}")
+
+
+# The letters whose mask planes each restriction's test reads.  The plane of
+# letter c has bit L-1-p set where letter p of a word of length L is c; every
+# restriction compares letters only with 0 and 1, and only AVOID_01 reads the
+# ones.  Words carry these planes and no others through the enumeration.
+_READS = {
+    Restriction.NONE: (),
+    Restriction.ISOLATED_ZEROS: (0,),
+    Restriction.NO_ODD_ZERO_RUNS: (0,),
+    Restriction.AVOID_01: (0, 1),
+    Restriction.ISOLATED_NONZEROS: (0,),
+    Restriction.ZERO_FRAMED_BOUNDED: (0,),
+}
+
+
+def _passes(planes, count: int, length: int, restriction: Restriction):
+    """Which of ``count`` words pass, from the planes the restriction reads; a few uint ops per word.
+
+    ``planes[i]`` is the plane of letter ``_READS[restriction][i]``.
+    """
+    import numpy as np
+
+    if restriction is Restriction.NONE:
+        return np.ones(count, dtype=bool)
+    zeros = planes[0]
+    if restriction is Restriction.ISOLATED_ZEROS:
+        return zeros & zeros >> 1 == 0
+    if restriction is Restriction.AVOID_01:
+        return zeros >> 1 & planes[1] == 0
+    if restriction is Restriction.NO_ODD_ZERO_RUNS:
+        # adding a zero run's lowest bit carries to the bit just above the run,
+        # so the run is even iff that bit has the parity of its lowest bit
+        even = (4 ** (length // 2 + 1) - 1) // 3
+        lowest, above = zeros & ~(zeros << 1), ~zeros
+        bad = (zeros + (lowest & even)) & above & even << 1
+        bad |= (zeros + (lowest & even << 1)) & above & even
+        return bad == 0
+    nonzeros = zeros ^ (1 << length) - 1
+    if restriction is Restriction.ISOLATED_NONZEROS:
+        return nonzeros & nonzeros >> 1 == 0
+    if restriction is Restriction.ZERO_FRAMED_BOUNDED:
+        # both end bits; with no letters, bit 0 lies outside the word
+        ends = 1 | (1 << length) >> 1
+        ok = zeros & ends == ends
+        ok &= nonzeros & nonzeros >> 1 == 0
+        ok &= zeros & zeros >> 1 & zeros >> 2 == 0
+        return ok
     raise ValueError(f"unknown restriction {restriction!r}")
 
 
@@ -159,6 +209,8 @@ class WordModel(Record):
 
 
 def _check_budget(alphabet: int, length: int, budget: int) -> None:
+    if type(budget) is not int:
+        _check_integer("budget", budget)
     # alphabet**length >= 2**((bits - 1) * length), which exceeds the budget
     # from its bit length on, so a large space is refused before its power is
     # formed; the message never expands it
@@ -166,8 +218,8 @@ def _check_budget(alphabet: int, length: int, budget: int) -> None:
         raise EnumerationBudgetError(f"{alphabet}**{length} words exceeds the budget {budget}")
 
 
-def _lead(lo: int, hi: int, marked_letter: int, dtype):
-    """The zero bit and one bit of each letter in lo..hi-1, one column per letter.
+def _lead(lo: int, hi: int, marked_letter: int, reads: tuple[int, ...], dtype):
+    """The bit of each letter in lo..hi-1 on each plane of ``reads``, one column per letter.
 
     The letters other than the marked one keep their order and the marked
     letter, if it is among them, takes the last column; the second item says
@@ -176,8 +228,8 @@ def _lead(lo: int, hi: int, marked_letter: int, dtype):
     import numpy as np
 
     has_marked = lo <= marked_letter < hi
-    bits = np.zeros((2, hi - lo), dtype)
-    for row, letter in enumerate((0, 1)):
+    bits = np.zeros((len(reads), hi - lo), dtype)
+    for row, letter in enumerate(reads):
         if lo <= letter < hi:
             # a letter past the marked one moves back one column
             column = letter - lo - (has_marked and marked_letter < letter)
@@ -188,112 +240,85 @@ def _lead(lo: int, hi: int, marked_letter: int, dtype):
 def _add_letters(rows, lead, bit: int):
     """Each letter of ``lead`` at ``bit`` ahead of each row, the rows grouped by mark count.
 
-    ``rows`` is (masks, offsets): ``masks`` stacks the zero masks over the one
-    masks, and group j, the rows with j marked letters, is
-    ``masks[:, offsets[j] : offsets[j + 1]]``.  Old group j under every
-    letter fills one run of rows, the marked letter last, so the other
-    letters keep those rows in group j and the marked letter moves them to
-    the head of group j + 1.
+    ``rows`` is (masks, offsets): ``masks`` stacks the planes, and group j,
+    the rows with j marked letters, is ``masks[:, offsets[j] : offsets[j + 1]]``.
+    Old group j under every letter fills one run of rows, the marked letter
+    last, so the other letters keep those rows in group j and the marked
+    letter moves them to the head of group j + 1.
     """
     import numpy as np
 
     (masks, offsets), (bits, has_marked) = rows, lead
-    n = bits.shape[1]
+    planes, n = bits.shape
     # every letter ahead of every row, then each old group's rows in one run
     full = bits[:, :, None] << bit | masks[:, None, :]
-    out = np.empty((2, n * masks.shape[1]), masks.dtype)
+    out = np.empty((planes, n * masks.shape[1]), masks.dtype)
     for a, b in zip(offsets, offsets[1:]):
-        out[:, n * a : n * b].reshape(2, n, b - a)[...] = full[..., a:b]
+        out[:, n * a : n * b].reshape(planes, n, b - a)[...] = full[..., a:b]
     stay, up = n - has_marked, int(has_marked)
     return out, [0] + [stay * b + up * a for a, b in zip(offsets, offsets[1:])] + [n * offsets[-1]]
 
 
-def _grouped_rows(bits: range, alphabet: int, marked_letter: int, dtype, rows=None):
+def _grouped_rows(
+    bits: range, alphabet: int, marked_letter: int, reads: tuple[int, ...], dtype, rows=None
+):
     """``rows``, by default the empty word's, with a letter added at each of ``bits``."""
     import numpy as np
 
     if rows is None:
-        rows = np.zeros((2, 1), dtype), [0, 1]
+        rows = np.zeros((len(reads), 1), dtype), [0, 1]
     # with no letters to add the alphabet may be any size, so it gets no table
-    lead = _lead(0, alphabet, marked_letter, dtype) if bits else None
+    lead = _lead(0, alphabet, marked_letter, reads, dtype) if bits else None
     for bit in bits:
         rows = _add_letters(rows, lead, bit)
     return rows
 
 
-def _suffix_blocks(below, alphabet: int, width: int, marked_letter: int):
+def _suffix_blocks(below, alphabet: int, width: int, marked_letter: int, reads: tuple[int, ...]):
     """The rows of the last ``width`` letters of every word, in blocks.
 
     ``below`` is the grouped rows of the ``width - 1`` letters under the
     leading one.  A block is (masks, offsets, has_marked).  ``masks`` has
-    shape (2, n, N): the zero and one masks of n leading letters, the marked
-    letter last if ``has_marked``, ahead of the N words below, which
+    shape (planes, n, N): the planes of ``reads`` of n leading letters, the
+    marked letter last if ``has_marked``, ahead of the N words below, which
     ``offsets`` groups by mark count.  The leading letters are cut into
-    blocks of at most _CHUNK rows; above _CHUNK letters each block has one
-    row below.
+    blocks of at most _CHUNK mask words, counting a word without planes as
+    one; above that many letters each block has one row below.
     """
     masks, offsets = below
-    step = _CHUNK // masks.shape[1]
+    step = _CHUNK // (max(len(reads), 1) * masks.shape[1])
     for lo in range(0, alphabet, step):
-        bits, has_marked = _lead(lo, min(lo + step, alphabet), marked_letter, masks.dtype)
+        bits, has_marked = _lead(lo, min(lo + step, alphabet), marked_letter, reads, masks.dtype)
         yield bits[:, :, None] << width - 1 | masks[:, None, :], offsets, has_marked
 
 
 def _count_blocks(hist: list[int], blocks, prefixes, length: int, restriction: Restriction) -> None:
     """Add the passing words of every prefix ahead of every block to ``hist``.
 
-    A prefix is (zero mask, one mask, mark count) as Python ints.  Every
-    prefix runs over one _TILE of a block while it is in cache: a span of
-    the rows below under every leading letter.
+    A prefix is (its planes, its mark count), the planes a list of Python
+    ints, one per plane of the blocks.  Every prefix runs over one _TILE of
+    a block while it is in cache: a span of the rows below under every
+    leading letter.
     """
     import numpy as np
 
     for masks, offsets, has_marked in blocks:
-        stay = masks.shape[1] - has_marked
-        span = max(1, _TILE // masks.shape[1])
-        for lo in range(0, masks.shape[2], span):
-            zeros, ones = masks[:, :, lo : lo + span]
+        n, below = masks.shape[1:]
+        stay = n - has_marked
+        span = max(1, _TILE // n)
+        for lo in range(0, below, span):
+            tile = list(masks[:, :, lo : lo + span])
+            shape = n, min(span, below - lo)
             # each group's rows within the span
             ends = [min(max(end - lo, 0), span) for end in offsets]
             groups = [(j, a, b) for j, (a, b) in enumerate(zip(ends, ends[1:])) if a < b]
-            for zero, one, shift in prefixes:
-                ok = _passes((zeros | zero).ravel(), (ones | one).ravel(), length, restriction)
-                ok = ok.reshape(zeros.shape)
+            for prefix, shift in prefixes:
+                planes = [plane | bit for plane, bit in zip(tile, prefix)]
+                ok = _passes(planes, shape[0] * shape[1], length, restriction).reshape(shape)
                 for j, a, b in groups:
                     hist[j + shift] += int(np.count_nonzero(ok[:stay, a:b]))
                     if has_marked:
                         hist[j + shift + 1] += int(np.count_nonzero(ok[stay, a:b]))
-
-
-def _passes(zeros: np.ndarray, ones: np.ndarray, length: int, restriction: Restriction):
-    """Which words pass, from their zero and one masks; a few uint ops per word."""
-    import numpy as np
-
-    if restriction is Restriction.NONE:
-        return np.ones(len(zeros), dtype=bool)
-    if restriction is Restriction.ISOLATED_ZEROS:
-        return zeros & zeros >> 1 == 0
-    if restriction is Restriction.AVOID_01:
-        return zeros >> 1 & ones == 0
-    if restriction is Restriction.NO_ODD_ZERO_RUNS:
-        # adding a zero run's lowest bit carries to the bit just above the run,
-        # so the run is even iff that bit has the parity of its lowest bit
-        even = (4 ** (length // 2 + 1) - 1) // 3
-        lowest, above = zeros & ~(zeros << 1), ~zeros
-        bad = (zeros + (lowest & even)) & above & even << 1
-        bad |= (zeros + (lowest & even << 1)) & above & even
-        return bad == 0
-    nonzeros = zeros ^ (1 << length) - 1
-    if restriction is Restriction.ISOLATED_NONZEROS:
-        return nonzeros & nonzeros >> 1 == 0
-    if restriction is Restriction.ZERO_FRAMED_BOUNDED:
-        # both end bits; with no letters, bit 0 lies outside the word
-        ends = 1 | (1 << length) >> 1
-        ok = zeros & ends == ends
-        ok &= nonzeros & nonzeros >> 1 == 0
-        ok &= zeros & zeros >> 1 & zeros >> 2 == 0
-        return ok
-    raise ValueError(f"unknown restriction {restriction!r}")
 
 
 def mark_histograms(
@@ -307,19 +332,26 @@ def mark_histograms(
 
     The lengths must not decrease.  The grouped rows of the last letters are
     grown once, as far as the longest length needs, and serve every length.
-    Each length's budget is checked before any work on it, so the lengths
-    that fit are yielded before EnumerationBudgetError is raised at the first
-    that does not.
+    The arguments are checked as WordModel checks them before any work.
+    Each length's budget, which must be an integer, is checked before any
+    work on it, so the lengths that fit are yielded before
+    EnumerationBudgetError is raised at the first that does not.
     """
+    # WordModel would take None for no marked letter
+    if type(marked_letter) is not int:
+        _check_integer("marked letter", marked_letter)
     lengths = list(lengths)
-    if any(length < 0 for length in lengths):
-        raise ValueError("length must be >= 0")
+    # each length's model checks the arguments, the empty word's if there is none
+    for length in lengths or [0]:
+        WordModel(alphabet, length, restriction, marked_letter)
     if any(a > b for a, b in zip(lengths, lengths[1:])):
         raise ValueError("lengths must not decrease")
-    if not 0 <= marked_letter < alphabet:
-        raise ValueError("marked letter must belong to the alphabet")
     import numpy as np
 
+    reads = _READS[restriction]
+    # a suffix block holds at most _CHUNK mask words, a word without planes
+    # counted as one, so every restriction's blocks have one bound in bytes
+    block_words = _CHUNK // max(len(reads), 1)
     # the grouped rows of the last ``grown`` letters of every word
     rows, grown = None, 0
     for length in lengths:
@@ -330,37 +362,37 @@ def mark_histograms(
         # 63 bits they are Python ints, so they cannot wrap.
         dtype = np.min_scalar_type(1 << length)
         if alphabet == 1:
-            # the one word, 0**length, is one pair of masks; growing it letter
+            # the one word, 0**length, is one mask per plane; growing it letter
             # by letter would copy its group once per letter
-            zeros, ones = np.array([[(1 << length) - 1], [0]], dtype)
-            yield (0,) * length + (int(_passes(zeros, ones, length, restriction)[0]),)
+            planes = [np.array([(1 << length) - 1 if letter == 0 else 0], dtype) for letter in reads]
+            yield (0,) * length + (int(_passes(planes, 1, length, restriction)[0]),)
             continue
         if rows is not None and rows[0].dtype != dtype:
             rows = rows[0].astype(dtype), rows[1]
         if alphabet**length <= _TILE:
             # a space within one tile is the grown rows, tested whole
-            rows = _grouped_rows(range(grown, length), alphabet, marked_letter, dtype, rows)
+            rows = _grouped_rows(range(grown, length), alphabet, marked_letter, reads, dtype, rows)
             grown = length
-            (zeros, ones), offsets = rows
-            ok = _passes(zeros, ones, length, restriction)
+            masks, offsets = rows
+            ok = _passes(masks, offsets[-1], length, restriction)
             yield tuple(int(np.count_nonzero(ok[a:b])) for a, b in zip(offsets, offsets[1:]))
             continue
-        # the suffix block holds the most letters with alphabet**width <= _CHUNK,
-        # at least one and at least one past the rows grown so far
+        # the suffix block holds the most letters with alphabet**width words
+        # within a block, at least one and at least one past the rows grown so far
         width = 1
-        while width < length and alphabet ** (width + 1) <= _CHUNK:
+        while width < length and alphabet ** (width + 1) <= block_words:
             width += 1
         width = max(width, grown + 1)
-        rows = _grouped_rows(range(grown, width - 1), alphabet, marked_letter, dtype, rows)
+        rows = _grouped_rows(range(grown, width - 1), alphabet, marked_letter, reads, dtype, rows)
         grown = width - 1
-        # (zero mask, one mask, mark count) of each prefix, as Python ints
-        heads, offsets = _grouped_rows(range(width, length), alphabet, marked_letter, dtype)
-        zeros, ones = heads.tolist()
+        # (planes, mark count) of each prefix, the planes as Python ints
+        heads, offsets = _grouped_rows(range(width, length), alphabet, marked_letter, reads, dtype)
+        columns = heads.T.tolist()
         prefixes = [
-            (zeros[i], ones[i], j) for j in range(len(offsets) - 1) for i in range(offsets[j], offsets[j + 1])
+            (columns[i], j) for j in range(len(offsets) - 1) for i in range(offsets[j], offsets[j + 1])
         ]
         hist = [0] * (length + 1)
-        blocks = _suffix_blocks(rows, alphabet, width, marked_letter)
+        blocks = _suffix_blocks(rows, alphabet, width, marked_letter, reads)
         _count_blocks(hist, blocks, prefixes, length, restriction)
         yield tuple(hist)
 

@@ -65,6 +65,42 @@ def test_predicates(word, restriction, expected):
     assert check(word, restriction) is expected
 
 
+def reads_only(verdicts, letters):
+    """Whether the verdicts depend only on the positions of ``letters`` in each word."""
+    by_planes = {}
+    for word, verdict in verdicts.items():
+        key = tuple(letter if letter in letters else None for letter in word)
+        if by_planes.setdefault(key, verdict) != verdict:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("restriction", list(R))
+def test_read_set_is_what_check_reads(restriction):
+    # check's verdict depends on the positions of the letters in the declared
+    # read set and on nothing else: words that agree there get one verdict,
+    # so permuting the other letters among themselves never changes it.  No
+    # declared letter can be left out.
+    reads = words._READS[restriction]
+    for alphabet in (1, 2, 3, 4):
+        others = [letter for letter in range(alphabet) if letter not in reads]
+        for length in range(9):
+            verdicts = {
+                word: check(word, restriction)
+                for word in itertools.product(range(alphabet), repeat=length)
+            }
+            if restriction is R.NONE:
+                assert all(verdicts.values())
+            assert reads_only(verdicts, reads)
+            for a, b in zip(others, others[1:]):
+                swap = {a: b, b: a}
+                for word, verdict in verdicts.items():
+                    assert verdicts[tuple(swap.get(letter, letter) for letter in word)] == verdict
+    verdicts = {word: check(word, restriction) for word in itertools.product(range(4), repeat=3)}
+    for letter in reads:
+        assert not reads_only(verdicts, set(reads) - {letter})
+
+
 @pytest.mark.parametrize("restriction", list(R))
 @pytest.mark.parametrize("alphabet", (2, 3, 4))
 def test_vectorized_count_matches_scalar_predicate(restriction, alphabet):
@@ -131,8 +167,10 @@ def test_histogram_across_many_tiles(monkeypatch):
 
 
 def test_alphabet_above_chunk_is_sliced(monkeypatch):
-    below = words._grouped_rows(range(0), 2**21, 0, np.uint8)
-    assert sum(1 for _ in words._suffix_blocks(below, 2**21, 1, 0)) <= 2
+    # a block holds at most _CHUNK mask words, a word without planes counted as one
+    for reads in ((), (0,), (0, 1)):
+        below = words._grouped_rows(range(0), 2**21, 0, reads, np.uint8)
+        assert sum(1 for _ in words._suffix_blocks(below, 2**21, 1, 0, reads)) <= 2 * max(len(reads), 1)
     assert mark_histogram(2**21, 1, R.NONE, 0, budget=2**21) == (2**21 - 1, 1)
     # below the alphabet size, the chunk cuts the last letter's range into blocks
     monkeypatch.setattr(words, "_CHUNK", 3)
@@ -144,52 +182,109 @@ def test_alphabet_above_chunk_is_sliced(monkeypatch):
                     assert mark_histogram(alphabet, length, restriction, letter) == expected[letter]
 
 
+@pytest.mark.parametrize("restriction", (R.NONE, R.ISOLATED_ZEROS, R.AVOID_01))
+def test_suffix_blocks_hold_at_most_a_chunk_of_mask_words(monkeypatch, restriction):
+    # with 0, 1 and 2 planes, every suffix block array holds at most _CHUNK
+    # mask words (a word without planes counted as one), both at the real
+    # chunk on a 4**11 space and on small chunks and a one-word tile, which
+    # send every nonempty word through blocks and cut many of them
+    suffix_blocks, blocks = words._suffix_blocks, []
+
+    def spy(below, alphabet, width, marked_letter, reads):
+        for block in suffix_blocks(below, alphabet, width, marked_letter, reads):
+            blocks.append(block[0])
+            yield block
+
+    monkeypatch.setattr(words, "_suffix_blocks", spy)
+    planes = len(words._READS[restriction])
+    mark_histogram(4, 11, restriction, 3, budget=4**11)
+    cases = [(words._CHUNK, blocks[:])]
+    monkeypatch.setattr(words, "_TILE", 1)
+    for chunk in (16, 3):
+        monkeypatch.setattr(words, "_CHUNK", chunk)
+        blocks.clear()
+        for alphabet in (2, 3, 4, 5):
+            for length in range(1, 6):
+                mark_histogram(alphabet, length, restriction, alphabet - 1)
+        cases.append((chunk, blocks[:]))
+    for chunk, arrays in cases:
+        assert arrays
+        for masks in arrays:
+            assert masks.shape[0] == planes
+            assert masks.nbytes <= chunk * masks.itemsize
+            assert max(planes, 1) * masks.shape[1] * masks.shape[2] <= chunk
+
+
 def all_words(alphabet, length):
     """Every word, in product order, one row of letters each."""
     space = itertools.product(range(alphabet), repeat=length)
     return np.array(list(space), dtype=np.int64).reshape(alphabet**length, length)
 
 
-def all_masks(alphabet, length):
-    """Zero and one masks of every word, in product order, with letter p at bit length-1-p."""
+def all_planes(alphabet, length, reads):
+    """The plane of each letter of ``reads`` for every word, in product order.
+
+    A word's plane of letter c has bit length-1-p set where letter p is c.
+    """
     digits = all_words(alphabet, length)
     weights = 1 << np.arange(length - 1, -1, -1, dtype=np.int64)
-    return (digits == 0) @ weights, (digits == 1) @ weights
+    return [(digits == letter) @ weights for letter in reads]
 
 
-def mask_keys(zeros, ones, ok, length):
-    """Each word's (zero mask, one mask, verdict) as one integer, sorted."""
-    return np.sort(((zeros.astype(np.int64) << length | ones.astype(np.int64)) << 1) | ok)
+def plane_keys(planes, ok, length):
+    """Each word's (planes, verdict) as one integer, sorted."""
+    keys = np.zeros(len(ok), dtype=np.int64)
+    for plane in planes:
+        keys = keys << length | plane.astype(np.int64)
+    return np.sort(keys << 1 | ok)
+
+
+def expected_keys(alphabet, length, restriction):
+    """plane_keys of every word, projected on the planes the restriction reads, under check."""
+    verdicts = [check(word, restriction) for word in itertools.product(range(alphabet), repeat=length)]
+    planes = all_planes(alphabet, length, words._READS[restriction])
+    return plane_keys(planes, np.array(verdicts, dtype=np.int64), length)
+
+
+def spied_passes(monkeypatch):
+    """Patch _passes to record (length, planes, verdicts) of each call, all flattened."""
+    passes, seen = words._passes, []
+
+    def spy(planes, count, length, restriction):
+        ok = passes(planes, count, length, restriction)
+        planes, flat = [np.ravel(plane) for plane in planes], np.ravel(ok)
+        # every call tests ``count`` words, each with every plane it reads
+        assert len(flat) == count and all(len(plane) == count for plane in planes)
+        assert len(planes) == len(words._READS[restriction])
+        seen.append((length, planes, flat))
+        return ok
+
+    monkeypatch.setattr(words, "_passes", spy)
+    return seen
+
+
+def spied_keys(seen, length):
+    """plane_keys of every row the recorded _passes calls tested."""
+    planes = [np.concatenate(plane) for plane in zip(*(call[1] for call in seen))]
+    return plane_keys(planes, np.concatenate([call[2] for call in seen]).astype(np.int64), length)
 
 
 @pytest.mark.parametrize("restriction", list(R))
 def test_every_word_mask_verdict_matches_check(monkeypatch, restriction):
-    # each row the enumeration tests is one word: its masks and verdict, over
-    # the whole space, are those of every word under the scalar predicate
-    passes, seen = words._passes, []
-
-    def spy(zeros, ones, length, restriction):
-        ok = passes(zeros, ones, length, restriction)
-        seen.append((zeros, ones, ok))
-        return ok
-
-    monkeypatch.setattr(words, "_passes", spy)
+    # each row the enumeration tests is one word: the planes it reads and its
+    # verdict, over the whole space, are those of every word under the scalar
+    # predicate, and the rows tested are alphabet**length
+    seen = spied_passes(monkeypatch)
     for alphabet in (1, 2, 3, 4):
         for length in range(9):  # from the empty word
-            zeros, ones = all_masks(alphabet, length)
-            verdicts = [
-                check(word, restriction)
-                for word in itertools.product(range(alphabet), repeat=length)
-            ]
-            expected = mask_keys(zeros, ones, np.array(verdicts), length)
-            # a 3-row chunk cuts the letter range into blocks; its cost grows
+            expected = expected_keys(alphabet, length, restriction)
+            # a 3-word chunk cuts the letter range into blocks; its cost grows
             # with the number of prefixes, so it stops at 4**6 words
             for chunk in (16, 3) if length <= 6 else (16,):
                 monkeypatch.setattr(words, "_CHUNK", chunk)
                 seen.clear()
                 mark_histogram(alphabet, length, restriction, alphabet - 1)
-                got = [np.concatenate(rows) for rows in zip(*seen)]
-                assert np.array_equal(mask_keys(*got, length), expected)
+                assert np.array_equal(spied_keys(seen, length), expected)
 
 
 # lengths 0..8 whole, and with gaps and repeats; a run stops where its
@@ -215,18 +310,57 @@ def test_histograms_equal_one_length_histograms(monkeypatch, restriction, chunk,
 
 def test_histograms_slice_an_alphabet_above_chunk(monkeypatch):
     # the letter range of an alphabet above _CHUNK goes into blocks of at most
-    # _CHUNK letters, and never into one table of the whole alphabet
+    # _CHUNK mask words, a word without planes counted as one, and never into
+    # one table of the whole alphabet
     lead, spans = words._lead, []
 
-    def spy(lo, hi, marked_letter, dtype):
-        spans.append(hi - lo)
-        return lead(lo, hi, marked_letter, dtype)
+    def spy(lo, hi, marked_letter, reads, dtype):
+        spans.append((hi - lo) * max(len(reads), 1))
+        return lead(lo, hi, marked_letter, reads, dtype)
 
     monkeypatch.setattr(words, "_lead", spy)
     alphabet = 2**21
-    got = list(mark_histograms(alphabet, [0, 1, 1], R.NONE, 0, budget=alphabet))
-    assert got == [(1,), (alphabet - 1, 1), (alphabet - 1, 1)]
-    assert spans and max(spans) <= words._CHUNK
+    for restriction in (R.NONE, R.AVOID_01):
+        spans.clear()
+        got = list(mark_histograms(alphabet, [0, 1, 1], restriction, 0, budget=alphabet))
+        assert got == [(1,), (alphabet - 1, 1), (alphabet - 1, 1)]
+        assert spans and max(spans) <= words._CHUNK
+
+
+HISTOGRAM_ARGUMENTS = {
+    "bool-alphabet": ((True, [2], R.NONE, 0), "alphabet size must be an integer, got True"),
+    "float-alphabet": ((2.0, [2], R.NONE, 0), "alphabet size must be an integer, got 2.0"),
+    "zero-alphabet": ((0, [2], R.NONE, 0), "alphabet size must be >= 1"),
+    "bool-alphabet-no-lengths": ((True, [], R.NONE, 0), "alphabet size must be an integer, got True"),
+    "float-length": ((2, [2.0], R.NONE, 0), "length must be an integer, got 2.0"),
+    "bool-length": ((2, [1, True], R.NONE, 0), "length must be an integer, got True"),
+    "bool-marked-letter": ((2, [2], R.NONE, True), "marked letter must be an integer, got True"),
+    "float-marked-letter": ((2, [2], R.NONE, 1.0), "marked letter must be an integer, got 1.0"),
+    "no-marked-letter": ((1, [2], R.NONE, None), "marked letter must be an integer, got None"),
+    "float-budget": ((2, [2], R.NONE, 0, 4.0), "budget must be an integer, got 4.0"),
+    "bool-budget": ((2, [2], R.NONE, 0, True), "budget must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize(("args", "message"), HISTOGRAM_ARGUMENTS.values(), ids=HISTOGRAM_ARGUMENTS)
+def test_histograms_check_their_arguments_before_any_work(monkeypatch, args, message):
+    # each argument is checked as WordModel checks it, before any word is
+    # tested: a bool is not taken for 0 or 1, nor a float for an integer
+    calls = []
+    monkeypatch.setattr(words, "_passes", lambda *call: calls.append(call))
+    with pytest.raises(ValueError) as info:
+        list(mark_histograms(*args))
+    assert str(info.value) == message
+    if len(args[1]) == 1:
+        with pytest.raises(ValueError) as info:
+            mark_histogram(args[0], args[1][0], *args[2:])
+        assert str(info.value) == message
+    assert calls == []
+
+
+def test_count_words_checks_its_budget():
+    with pytest.raises(ValueError, match=r"^budget must be an integer, got 81.0$"):
+        count_words(WordModel(3, 4), budget=81.0)
 
 
 def test_histograms_refuse_decreasing_lengths():
@@ -241,9 +375,9 @@ def test_histograms_stop_at_the_first_length_over_budget(monkeypatch):
     # before any word of it is tested
     passes, calls = words._passes, []
 
-    def spy(zeros, ones, length, restriction):
+    def spy(planes, count, length, restriction):
         calls.append(length)
-        return passes(zeros, ones, length, restriction)
+        return passes(planes, count, length, restriction)
 
     monkeypatch.setattr(words, "_passes", spy)
     hists = mark_histograms(3, [1, 2, 3, 4, 5], R.ISOLATED_ZEROS, 2, budget=30)
@@ -258,16 +392,9 @@ def test_histograms_stop_at_the_first_length_over_budget(monkeypatch):
 @pytest.mark.parametrize("restriction", list(R))
 def test_histograms_test_each_word_once_with_its_masks(monkeypatch, restriction):
     # between two results the rows tested are the words of that length, each
-    # once, with its own masks and verdict; small tiles and chunks send the
+    # once, with its own planes and verdict; small tiles and chunks send the
     # short lengths through whole-space tests and the long ones through blocks
-    passes, seen = words._passes, []
-
-    def spy(zeros, ones, length, restriction):
-        ok = passes(zeros, ones, length, restriction)
-        seen.append((length, zeros, ones, ok))
-        return ok
-
-    monkeypatch.setattr(words, "_passes", spy)
+    seen = spied_passes(monkeypatch)
     monkeypatch.setattr(words, "_CHUNK", 16)
     monkeypatch.setattr(words, "_TILE", 8)
     for alphabet in (1, 2, 3, 4):
@@ -277,31 +404,28 @@ def test_histograms_test_each_word_once_with_its_masks(monkeypatch, restriction)
             seen.clear()
             next(hists)
             assert {call[0] for call in seen} == {length}
-            zeros, ones = all_masks(alphabet, length)
-            verdicts = [
-                check(word, restriction)
-                for word in itertools.product(range(alphabet), repeat=length)
-            ]
-            got = [np.concatenate(rows) for rows in zip(*(call[1:] for call in seen))]
-            assert np.array_equal(mask_keys(*got, length), mask_keys(zeros, ones, np.array(verdicts), length))
+            assert np.array_equal(spied_keys(seen, length), expected_keys(alphabet, length, restriction))
 
 
 @pytest.mark.parametrize("alphabet", (1, 2, 3, 4))
 def test_grouped_rows_hold_every_word_once(alphabet):
     # group j of the builder's rows holds each word with j marked letters
-    # exactly once: its sorted (zero mask, one mask) pairs are those words'
-    for width in range(9):
-        zeros, ones = all_masks(alphabet, width)
-        pairs = zeros << width | ones
+    # exactly once: its sorted planes of ``reads`` are those words'
+    for reads, width in itertools.product(((), (0,), (0, 1)), range(9)):
+        planes = all_planes(alphabet, width, reads)
         digits = all_words(alphabet, width)
         dtype = np.min_scalar_type(1 << width)
         for marked in range(alphabet):
             marks = (digits == marked).sum(axis=1)
-            masks, offsets = words._grouped_rows(range(width), alphabet, marked, dtype)
+            masks, offsets = words._grouped_rows(range(width), alphabet, marked, reads, dtype)
+            assert masks.shape == (len(reads), alphabet**width)
             assert len(offsets) == width + 2 and offsets[-1] == alphabet**width
             for j in range(width + 1):
-                group = masks[:, offsets[j] : offsets[j + 1]].astype(np.int64)
-                assert np.array_equal(np.sort(group[0] << width | group[1]), np.sort(pairs[marks == j]))
+                group = masks[:, offsets[j] : offsets[j + 1]]
+                assert group.shape[1] == np.count_nonzero(marks == j)
+                got = plane_keys(group, np.zeros(group.shape[1], dtype=np.int64), width)
+                want = plane_keys([plane[marks == j] for plane in planes], np.zeros_like(got), width)
+                assert np.array_equal(got, want)
 
 
 @example(word=(0,) * 7)
@@ -330,16 +454,18 @@ def test_single_word_masks_match_check(word):
     # on both sides of each type edge (7/8, 15/16, 31/32 and 63 letters) and
     # set the top letter bit, so a type one bit too narrow fails them.  The
     # row is built letter by letter by the grouped builder, as the enumeration
-    # builds it, and lands in the group of its count of the marked letter 0.
+    # builds it with the planes its restriction reads, and lands in the group
+    # of its count of the marked letter 0.
     dtype = np.min_scalar_type(1 << len(word))
-    rows = words._grouped_rows(range(0), 1, 0, dtype)
-    for bit, letter in enumerate(reversed(word)):
-        rows = words._add_letters(rows, words._lead(letter, letter + 1, 0, dtype), bit)
-    (zeros, ones), offsets = rows
     marks = word.count(0)
-    assert offsets == [0] * (marks + 1) + [1] * (len(word) - marks + 1)
     for restriction in R:
-        assert words._passes(zeros, ones, len(word), restriction).tolist() == [check(word, restriction)]
+        reads = words._READS[restriction]
+        rows = words._grouped_rows(range(0), 1, 0, reads, dtype)
+        for bit, letter in enumerate(reversed(word)):
+            rows = words._add_letters(rows, words._lead(letter, letter + 1, 0, reads, dtype), bit)
+        masks, offsets = rows
+        assert offsets == [0] * (marks + 1) + [1] * (len(word) - marks + 1)
+        assert words._passes(masks, 1, len(word), restriction).tolist() == [check(word, restriction)]
 
 
 @pytest.mark.parametrize("restriction", list(R))
