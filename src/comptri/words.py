@@ -26,12 +26,13 @@ rows of the letters below its leading letter, under every leading letter,
 with as many letters as fit in ``_CHUNK`` mask words (planes times rows, a
 word without planes counted as one), so every restriction's blocks have one
 bound in bytes.  The leading letter is an axis of its own, the marked
-letter last, so no row carries a mark count.  Each chunk is one prefix of the remaining letters with its own mark count: it
-ORs its planes into the block's, and the passing words of each group are
-counted with ``count_nonzero``, once under the other leading letters and
-once under the marked one, into the histogram entries of their mark counts
-plus the prefix's.  Prefixes run over the block one ``_TILE`` of rows at a
-time, which stays in cache.  Each word is still built from its own letters
+letter last, so no row carries a mark count.  Each chunk is one prefix of
+the remaining letters with its own mark count: it ORs its planes into the
+block's, and the passing words of each group are counted with
+``count_nonzero``, once under the other leading letters and once under the
+marked one, into the histogram entries of their mark counts plus the
+prefix's.  Prefixes run over the block one ``_TILE`` of rows at a time,
+which stays in cache.  Each word is still built from its own letters
 and tested on its own, once per length asked for; ``mark_histogram`` is the
 one-length case.  A one-letter alphabet has one word, 0^L, tested with one
 mask per plane, without the letter-by-letter growth.  ``budget`` bounds
