@@ -18,7 +18,6 @@ from .errors import (
     OutputSizeError,
 )
 from .identities import (
-    FormCheck,
     binom,
     chebyshev_u,
     check_binomial_inversion,
@@ -73,7 +72,6 @@ __all__ = [
     "ComptriError",
     "DimensionError",
     "EnumerationBudgetError",
-    "FormCheck",
     "InsufficientSeedError",
     "InternalConsistencyError",
     "InvalidSeedError",

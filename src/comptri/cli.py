@@ -47,8 +47,8 @@ BUDGET_CAP = 1 << 30  # under half a minute at about 5e7 words/s
 # 6% slower with bell and pascal in the child, the next best split
 _CHILD_ROUTES = ("conv", "bell")
 # `verify` with no --suite runs these suites in a forked child while it runs the
-# others, word counting (and numpy) among them: 17 ms against 17.4 ms at default
-# bounds (each suite's best of 15 on 2 vCPUs); no other split measured was faster
+# others, word counting (and numpy) among them: 14.7 ms against 14.6 ms at default
+# bounds (the sums of each suite's best of 15 on 2 vCPUs); no other split is shorter
 _CHILD_SUITES = ("bell", "pascal", "closed-forms")
 
 

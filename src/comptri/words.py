@@ -333,9 +333,9 @@ def mark_histograms(
 
     The lengths must not decrease.  The grouped rows of the last letters are
     grown once, as far as the longest length needs, and serve every length.
-    The arguments are checked as WordModel checks them before any work.
-    Each length's budget, which must be an integer, is checked before any
-    work on it, so the lengths that fit are yielded before
+    The arguments, the budget's type among them, are checked as WordModel
+    checks them, at the call.  Each length's budget size is checked before
+    any work on it, so the lengths that fit are yielded before
     EnumerationBudgetError is raised at the first that does not.
     """
     # WordModel would take None for no marked letter
@@ -347,6 +347,13 @@ def mark_histograms(
         WordModel(alphabet, length, restriction, marked_letter)
     if any(a > b for a, b in zip(lengths, lengths[1:])):
         raise ValueError("lengths must not decrease")
+    if type(budget) is not int:
+        _check_integer("budget", budget)
+    return _histograms(alphabet, lengths, restriction, marked_letter, budget)
+
+
+def _histograms(alphabet: int, lengths: list[int], restriction: Restriction, marked_letter: int, budget: int):
+    """mark_histograms once its arguments are checked, one length at a time."""
     import numpy as np
 
     reads = _READS[restriction]
@@ -493,16 +500,19 @@ def oracle_rows(
 
     The n must not decrease.  Every row of a preset and depth has the same
     alphabet, restriction and marked letter; only the word length changes.
+    The arguments are checked at the call, as in mark_histograms.
     """
     ns = list(ns)
     models = [oracle_model(preset, m, n) for n in ns]
     if not models:
-        return
+        return iter(())
     first = models[0]
     lengths = [model.length for model in models]
     hists = mark_histograms(first.alphabet, lengths, first.restriction, first.marked_letter, budget)
-    for n, model, hist in zip(ns, models, hists):
-        yield tuple(hist[k - 1] if k - 1 <= model.length else 0 for k in range(1, n + 1))
+    return (
+        tuple(hist[k - 1] if k - 1 <= model.length else 0 for k in range(1, n + 1))
+        for n, model, hist in zip(ns, models, hists)
+    )
 
 
 def oracle_row(

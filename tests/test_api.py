@@ -1,7 +1,7 @@
 """The public names and the functions the benchmark tracer patches exist,
-the tracer sees every triangle route, the README's library session runs,
-no module keeps an unused import or an unused private name, and no public
-name is used by the unit tests alone."""
+the tracer sees every triangle route, the README's library session runs and
+its list of record types is whole, no module keeps an unused import or an
+unused private name, and no public name is used by the unit tests alone."""
 
 import ast
 import doctest
@@ -11,7 +11,9 @@ import re
 from pathlib import Path
 
 import comptri
+import comptri.verify
 from comptri import triangle
+from comptri.records import Record
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -52,6 +54,14 @@ def test_the_tracer_sees_every_route():
 def test_readme_session():
     result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
     assert result.attempted and result.failed == 0
+
+
+def test_readme_lists_every_record_type():
+    # the README's list of the records, "The records (`A`, ... and `module.B`)",
+    # names each subclass of Record in the package and nothing else
+    listed = re.search(r"The records \(([^)]*)\)", (ROOT / "README.md").read_text()).group(1)
+    subclasses = [cls for cls in Record.__subclasses__() if cls.__module__.startswith("comptri.")]
+    assert {name.split(".")[-1] for name in re.findall(r"`([\w.]+)`", listed)} == {c.__name__ for c in subclasses}
 
 
 def _module_imports(tree):

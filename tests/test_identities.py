@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from comptri import (
+    LowerTriangularMatrix,
     Restriction,
     WordModel,
     binom,
@@ -19,6 +20,7 @@ from comptri import (
     make_seed,
     triangle_recurrence,
 )
+from comptri import identities, verify
 
 R = Restriction
 
@@ -122,8 +124,6 @@ def test_closed_form_values():
 
 def test_closed_form_limits():
     with pytest.raises(ValueError):
-        closed_form("odd", 2, 5, 2)
-    with pytest.raises(ValueError):
         closed_form("custom", 1, 3, 2)
     with pytest.raises(ValueError):
         closed_form("ones", 0, 3, 2)
@@ -139,7 +139,10 @@ def full_range_form(preset, m, n, k):
     if preset == "fib":
         terms = ((m - 1) ** j * binom(j + k - 1, k - 1) * binom(j + k, n - j - k) for j in range(n - k + 1))
     if preset == "odd":
-        return 0 if (n - k) % 2 else binom((n - k) // 2 + k - 1, k - 1)
+        # the exponent is negative only where C(j, n-k-j) is 0; max keeps the power an integer
+        terms = (
+            (m - 1) ** max(0, 2 * j - n + k) * binom(k + j - 1, k - 1) * binom(j, n - k - j) for j in range(n - k + 1)
+        )
     if preset == "natural":
         terms = (
             (m - 1) ** (i - k) * binom(i - 1, k - 1) * binom(n + i - 1, 2 * i - 1) for i in range(k, n + 1)
@@ -160,29 +163,67 @@ def full_range_form(preset, m, n, k):
 def test_closed_form_grid(preset):
     # far past the verify suite's order 20 and m <= 3: a sum cut one term short
     # of its support differs somewhere here from the full range and the recurrence
-    for m in (1,) if preset == "odd" else range(1, 6):
+    for m in range(1, 6):
         tri = triangle_recurrence(make_seed(preset, 40), m, 40)
         for n, row in enumerate(tri.rows, start=1):
             for k, entry in enumerate(row, start=1):
                 assert closed_form(preset, m, n, k) == full_range_form(preset, m, n, k) == entry, (m, n, k)
 
 
+def triangle_size(order):
+    return order * (order + 1) // 2
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_closed_forms_match_engine(preset):
-    results = check_closed_forms(preset, 14)
-    assert results and all(r.ok for r in results)
+    outcomes = check_closed_forms(preset, 14)
+    assert all(outcome is True for outcome in outcomes)
+    assert len(outcomes) == (1 if preset == "odd" else 3) * triangle_size(14)
 
 
-def test_closed_forms_report_order():
-    results = check_closed_forms("fib", 4)
-    keys = [(r.m, r.n, r.k) for r in results]
-    assert keys == sorted(keys)
-    assert keys[0] == (1, 1, 1)
+def test_closed_forms_report_order(monkeypatch):
+    # a recurrence off by one at c(3, 2) of fib at m = 2 fails exactly that
+    # entry, at its (m, n, k) position, with the text verify prints
+    def off_by_one(f0, m, order):
+        rows = [list(row) for row in triangle_recurrence(f0, m, order).rows]
+        rows[2][1] += f0.label == "fib" and m == 2
+        return LowerTriangularMatrix(rows)
+
+    monkeypatch.setattr(identities, "triangle_recurrence", off_by_one)
+    outcomes = check_closed_forms("fib", 4)
+    keys = [(m, n, k) for m in (1, 2, 3) for n in range(1, 5) for k in range(1, n + 1)]
+    text = "fib m=2 n=3 k=2: engine 5 != formula 4"
+    assert outcomes == [text if key == (2, 3, 2) else True for key in keys]
+    assert verify.closed_forms(4).failures == (text,)
 
 
 def test_closed_forms_skip_unavailable_depths():
-    results = check_closed_forms("odd", 6)
-    assert {r.m for r in results} == {1}
+    # depths 1-3 for every preset but ODD, which is checked at depth 1 only
+    for preset in PRESETS:
+        outcomes = check_closed_forms(preset, 6)
+        assert all(outcome is True for outcome in outcomes)
+        assert len(outcomes) == (1 if preset == "odd" else 3) * triangle_size(6)
+
+
+CLOSED_FORM_ARGUMENTS = {
+    "float-m": (closed_form, ("ones", 1.5, 3, 2), "depth m must be an integer, got 1.5"),
+    "bool-m": (closed_form, ("ones", True, 3, 2), "depth m must be an integer, got True"),
+    "float-n": (closed_form, ("fib", 2, 5.0, 2), "n must be an integer, got 5.0"),
+    "bool-k": (closed_form, ("fib", 2, 5, True), "k must be an integer, got True"),
+    "bool-order": (check_closed_forms, ("ones", True), "order must be an integer, got True"),
+    "float-order": (check_closed_forms, ("ones", 2.0), "order must be an integer, got 2.0"),
+}
+
+
+@pytest.mark.parametrize(("call", "args", "message"), CLOSED_FORM_ARGUMENTS.values(), ids=CLOSED_FORM_ARGUMENTS)
+def test_closed_forms_check_their_arguments_before_any_work(monkeypatch, call, args, message):
+    # a bool is not taken for 1, nor a float for an integer, and no triangle is built
+    calls = []
+    monkeypatch.setattr(identities, "triangle_recurrence", lambda *call: calls.append(call))
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert str(info.value) == message
+    assert calls == []
 
 
 def test_depth_one_reduction():

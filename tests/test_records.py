@@ -1,4 +1,4 @@
-"""The five records behave as immutable value objects: construction by
+"""The four records behave as immutable value objects: construction by
 position and keyword, defaults, equality, hashing, immutability, repr, and
 round trips through pickle and deepcopy."""
 
@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from comptri import ArithmeticFunction, FormCheck, LowerTriangularMatrix, Restriction as R, WordModel
+from comptri import ArithmeticFunction, LowerTriangularMatrix, Restriction as R, WordModel
 from comptri.verify import Sweep
 
 # one row per record: positional call, the same record by keyword (with its
@@ -32,12 +32,6 @@ RECORDS = {
         lambda: WordModel(3, 2, R.NONE, 1),
         "WordModel(alphabet=3, length=2, restriction=<Restriction.NONE: 'none'>, "
         "marked_letter=None, marked_count=None)",
-    ),
-    "FormCheck": (
-        lambda: FormCheck(1, 2, 1, 5, 5),
-        lambda: FormCheck(m=1, n=2, k=1, engine=5, formula=5),
-        lambda: FormCheck(1, 2, 1, 5, 6),
-        "FormCheck(m=1, n=2, k=1, engine=5, formula=5)",
     ),
     "Sweep": (
         lambda: Sweep("bell_identity", 6, (), 0.5),
@@ -98,10 +92,9 @@ def test_defaults_and_normalisation():
     model = WordModel(3, 2)
     assert (model.restriction, model.marked_letter, model.marked_count) == (R.NONE, None, None)
     assert ArithmeticFunction((1, 2)) != ArithmeticFunction((1, 2), label="x")
-    assert FormCheck(1, 2, 1, 5, 5).ok and not FormCheck(1, 2, 1, 5, 6).ok
-    match FormCheck(1, 2, 1, 5, 6):
-        case FormCheck(m, n, k, engine, formula):
-            assert (m, n, k, engine, formula) == (1, 2, 1, 5, 6)
+    match WordModel(3, 2, R.AVOID_01, 1, 0):
+        case WordModel(alphabet, length, restriction, marked_letter, marked_count):
+            assert (alphabet, length, restriction, marked_letter, marked_count) == (3, 2, R.AVOID_01, 1, 0)
     # a record equals only records of its own class, never a tuple of its fields
-    assert FormCheck(1, 2, 1, 5, 5) != (1, 2, 1, 5, 5)
+    assert WordModel(3, 2) != (3, 2, R.NONE, None, None)
     assert Sweep("bell_identity", 6, (), 0.5) != ("bell_identity", 6, (), 0.5)

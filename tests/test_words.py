@@ -339,21 +339,25 @@ HISTOGRAM_ARGUMENTS = {
     "no-marked-letter": ((1, [2], R.NONE, None), "marked letter must be an integer, got None"),
     "float-budget": ((2, [2], R.NONE, 0, 4.0), "budget must be an integer, got 4.0"),
     "bool-budget": ((2, [2], R.NONE, 0, True), "budget must be an integer, got True"),
+    # a preset first: oracle_rows(preset, m, ns)
+    "oracle-rows-unknown-preset": (("nope", 1, [3]), "'nope' is not a valid Preset"),
 }
 
 
 @pytest.mark.parametrize(("args", "message"), HISTOGRAM_ARGUMENTS.values(), ids=HISTOGRAM_ARGUMENTS)
 def test_histograms_check_their_arguments_before_any_work(monkeypatch, args, message):
-    # each argument is checked as WordModel checks it, before any word is
-    # tested: a bool is not taken for 0 or 1, nor a float for an integer
+    # each argument is checked as WordModel checks it, at the call and before
+    # any word is tested: a bool is not taken for 0 or 1, nor a float for an
+    # integer; the one-length wrappers check the same
     calls = []
     monkeypatch.setattr(words, "_passes", lambda *call: calls.append(call))
+    rows, row, at = (oracle_rows, oracle_row, 2) if type(args[0]) is str else (mark_histograms, mark_histogram, 1)
     with pytest.raises(ValueError) as info:
-        list(mark_histograms(*args))
+        rows(*args)
     assert str(info.value) == message
-    if len(args[1]) == 1:
+    if len(args[at]) == 1:
         with pytest.raises(ValueError) as info:
-            mark_histogram(args[0], args[1][0], *args[2:])
+            row(*args[:at], args[at][0], *args[at + 1 :])
         assert str(info.value) == message
     assert calls == []
 
