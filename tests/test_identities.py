@@ -219,7 +219,7 @@ CLOSED_FORM_ARGUMENTS = {
 def test_closed_forms_check_their_arguments_before_any_work(monkeypatch, call, args, message):
     # a bool is not taken for 1, nor a float for an integer, and no triangle is built
     calls = []
-    monkeypatch.setattr(identities, "triangle_recurrence", lambda *call: calls.append(call))
+    monkeypatch.setattr(identities, "triangle_recurrence", lambda *built: calls.append(built))
     with pytest.raises(ValueError) as info:
         call(*args)
     assert str(info.value) == message
