@@ -44,6 +44,8 @@ def argvs() -> list[list[str]]:
     for preset in PRESETS:
         for m in (0, 1, 2):
             out.append(["transform", "--preset", preset, "--m", str(m), "--N", "13"])
+        # the benchmark's long transforms, with the largest entries any preset prints
+        out.append(["transform", "--preset", preset, "--N", "800", "--m", "3"])
         for m in (1, 2, 3):
             for n in (1, 7, 13):
                 out.append(["triangle", "--preset", preset, "--m", str(m), "--N", str(n), "--algo", "all"])
