@@ -15,11 +15,19 @@ closed form F_m = F_0 / (1 - m F_0), that is
 
     f_m(n) = f_0(n) + m * sum_{i=1}^{n-1} f_0(i) * f_m(n-i).
 
-iterate_invert computes f_m by this recurrence in one pass, whatever m is.
-invert_transform keeps the one-step definition.  The checks of f_m that do
-not use the closed form are triangle.transform_via_triangle, the row sums
-of depth-m triangles built from the depth-(m-1) weights (verify.row_sums),
-and verify.depth_one_expansion.
+Every preset's F_0 is a ratio P/Q of polynomials, deg P <= 3 and
+deg Q <= 2, with Q(0) = 1 (ones x/(1-x), fib x+x^2, odd x/(1-x^2),
+natural x/(1-x)^2, ge2 x^2/(1-x), two_three x^2+x^3), and that pair is the
+preset's one definition.  So F_m = P/D with D = Q - m P, and one recurrence,
+g(n) = p_n - sum_{i>=1} d_i g(n-i), expands both the seed (D = Q) and f_m,
+in O(N deg D) steps.  iterate_invert uses a seed's pair only when its label
+names a preset and P/Q expands to its stored prefix; any other seed is the
+pair P = f_0, Q = 1, where the recurrence is the closed form above, so a
+custom seed costs O(N nnz) whatever m is.  invert_transform keeps the
+one-step definition.  The checks of f_m that do not use the closed form
+are triangle.transform_via_triangle, the row sums of depth-m triangles
+built from the depth-(m-1) weights (verify.row_sums) or from f_0 alone
+(the convolution route), and verify.depth_one_expansion.
 
 check_output_size is the one output-size rule: it bounds the bit length of
 f_m(1..N), and so of every triangle entry c_m(n, k) <= f_m(n), before any
@@ -29,6 +37,7 @@ work starts, and refuses a run whose output would be too large to print.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import zip_longest
 
 from .errors import InvalidSeedError, OutputSizeError
 from .records import Record, set_field
@@ -49,19 +58,30 @@ class Preset(str, Enum):
     TWO_THREE = "two_three"
 
 
-def _preset_value(preset: Preset, i: int) -> int:
-    if preset is Preset.ONES:
-        return 1
-    if preset is Preset.FIB:
-        return 1 if i <= 2 else 0
-    if preset is Preset.ODD:
-        return i % 2
-    if preset is Preset.NATURAL:
-        return i
-    if preset is Preset.GE2:
-        return 0 if i == 1 else 1
-    if preset is Preset.TWO_THREE:
-        return 1 if i in (2, 3) else 0
+# each preset's F_0 = P/Q, as coefficients of x^0, x^1, ...
+_RATIONAL = {
+    "ones": ((0, 1), (1, -1)),
+    "fib": ((0, 1, 1), (1,)),
+    "odd": ((0, 1), (1, 0, -1)),
+    "natural": ((0, 1), (1, -2, 1)),
+    "ge2": ((0, 0, 1), (1, -1)),
+    "two_three": ((0, 0, 1, 1), (1,)),
+}
+
+
+def _series(p: tuple[int, ...], d: tuple[int, ...], n_terms: int) -> tuple[int, ...]:
+    """Coefficients 1..n_terms of P/D, for P(0) = 0 and D(0) = 1:
+    g(n) = p_n - sum_{i>=1} d_i g(n-i), over the nonzero d_i only."""
+    minus_d = [(i, -c) for i, c in enumerate(d) if i and c]
+    g: list[int] = []
+    for n in range(1, n_terms + 1):
+        acc = p[n] if n < len(p) else 0
+        for i, c in minus_d:
+            if i >= n:
+                break
+            acc += c * g[n - i - 1]
+        g.append(acc)
+    return tuple(g)
 
 
 class ArithmeticFunction(Record):
@@ -104,10 +124,7 @@ def make_seed(preset: Preset | str, n_terms: int) -> ArithmeticFunction:
     preset = Preset(preset)
     if n_terms < 1:
         raise InvalidSeedError("n_terms must be at least 1")
-    return ArithmeticFunction(
-        tuple(_preset_value(preset, i) for i in range(1, n_terms + 1)),
-        label=preset.value,
-    )
+    return ArithmeticFunction(_series(*_RATIONAL[preset.value], n_terms), label=preset.value)
 
 
 def invert_transform(f: ArithmeticFunction) -> ArithmeticFunction:
@@ -124,24 +141,20 @@ def invert_transform(f: ArithmeticFunction) -> ArithmeticFunction:
 def iterate_invert(f0: ArithmeticFunction, m: int) -> ArithmeticFunction:
     """The m-th invert transform f_m; m = 0 returns f0 itself.
 
-    One pass over the nonzero terms of f0, by the closed form
-    f_m(n) = f_0(n) + m * sum_{i<n} f_0(i) f_m(n-i), so its cost does not
-    grow with m.
+    F_m = P/(Q - m P) for the seed's F_0 = P/Q: a preset's own pair when
+    f0's label names it and P/Q expands to f0's values, else P = f_0 and
+    Q = 1, so the cost never grows with m.
     """
     if m < 0:
         raise ValueError("the transform is only iterated forward, m must be >= 0")
     if m == 0:
         return f0
-    nonzero = [(i, v) for i, v in enumerate(f0.values, start=1) if v]
-    g: list[int] = []
-    for n, value in enumerate(f0.values, start=1):
-        acc = 0
-        for i, v in nonzero:
-            if i >= n:
-                break
-            acc += v * g[n - i - 1]
-        g.append(value + m * acc)
-    return ArithmeticFunction(tuple(g), label=f0.label)
+    pair = _RATIONAL.get(f0.label) if isinstance(f0.label, str) else None
+    if pair is None or _series(*pair, len(f0)) != f0.values:
+        pair = (0, *f0.values), (1,)
+    p, q = pair
+    d = tuple(a - m * b for a, b in zip_longest(q, p, fillvalue=0))
+    return ArithmeticFunction(_series(p, d, len(f0)), label=f0.label)
 
 
 def check_output_size(n: int, m: int, top: int) -> int:

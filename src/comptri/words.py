@@ -500,13 +500,13 @@ def oracle_rows(
 
     The n must not decrease.  Every row of a preset and depth has the same
     alphabet, restriction and marked letter; only the word length changes.
-    The arguments are checked at the call, as in mark_histograms.
+    The arguments are checked at the call, as in mark_histograms, even
+    when ``ns`` is empty.
     """
     ns = list(ns)
     models = [oracle_model(preset, m, n) for n in ns]
-    if not models:
-        return iter(())
-    first = models[0]
+    # with no rows, a row that every preset's model covers checks the preset and m
+    first = models[0] if models else oracle_model(preset, m, 4)
     lengths = [model.length for model in models]
     hists = mark_histograms(first.alphabet, lengths, first.restriction, first.marked_letter, budget)
     return (

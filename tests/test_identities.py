@@ -1,11 +1,13 @@
 """Binomial identities, closed forms, and the Chebyshev coefficient check."""
 
+import time
 from math import comb
 
 import pytest
 
 from comptri import (
     LowerTriangularMatrix,
+    OutputSizeError,
     Restriction,
     WordModel,
     binom,
@@ -129,6 +131,18 @@ def test_closed_form_limits():
         closed_form("ones", 0, 3, 2)
     with pytest.raises(ValueError):
         closed_form("ones", 1, 3, 4)
+
+
+def test_closed_form_refuses_an_unprintable_entry_before_any_sum():
+    # natural's sum at n = 40 000 would take minutes; the bound at top 1 refuses it at once
+    start = time.perf_counter()
+    with pytest.raises(OutputSizeError):
+        closed_form("natural", 3, 40_000, 1)
+    assert time.perf_counter() - start < 0.1
+    # at n = 1500 the bound passes at top 1 but not at natural's top f_0(1500) = 1500
+    assert closed_form("ones", 1, 1500, 1) == 1
+    with pytest.raises(OutputSizeError):
+        closed_form("natural", 1, 1500, 1)
 
 
 def full_range_form(preset, m, n, k):

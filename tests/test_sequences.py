@@ -46,6 +46,54 @@ def test_preset_prefixes():
     assert make_seed("two_three", 4).values == (0, 1, 1, 0)
 
 
+# each preset's f_0(i), written out here and not through its P/Q pair
+PRESET_TERMS = {
+    "ones": lambda i: 1,
+    "fib": lambda i: int(i <= 2),
+    "odd": lambda i: i % 2,
+    "natural": lambda i: i,
+    "ge2": lambda i: int(i >= 2),
+    "two_three": lambda i: int(i in (2, 3)),
+}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_expansion_is_the_plain_sequence(preset):
+    assert make_seed(preset, 60).values == tuple(PRESET_TERMS[preset](i) for i in range(1, 61))
+
+
+def largest_admitted_n(preset, m, cap=2000):
+    """The largest N <= cap whose f_m(1..N) check_output_size admits; the bound grows with N."""
+    lo, hi = 1, cap
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            check_output_size(mid, m, max(make_seed(preset, mid).values))
+            lo = mid
+        except OutputSizeError:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_pair_transforms_as_its_prefix(preset):
+    # the preset's own P/(Q - m P) against the unlabelled prefix's Q = 1 recurrence,
+    # at the longest prefix the output-size rule admits
+    for m in range(1, 5):
+        f0 = make_seed(preset, largest_admitted_n(preset, m))
+        assert iterate_invert(f0, m).values == iterate_invert(ArithmeticFunction(f0.values), m).values
+
+
+@PROPERTY
+@given(CUSTOM_SEEDS, st.sampled_from(PRESETS), st.integers(1, 5))
+@example(ArithmeticFunction((1, 1, 1, 2)), "ones", 2)
+@example(ArithmeticFunction((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13)), "natural", 3)
+def test_a_mislabelled_seed_transforms_as_its_values(f0, preset, m):
+    # a preset's label on other values must not select that preset's pair
+    labelled = ArithmeticFunction(f0.values, preset)
+    assert iterate_invert(labelled, m).values == iterate_invert(ArithmeticFunction(f0.values), m).values
+
+
 def test_custom_is_not_a_preset():
     assert len(Preset) == 6
     with pytest.raises(ValueError):

@@ -341,6 +341,8 @@ HISTOGRAM_ARGUMENTS = {
     "bool-budget": ((2, [2], R.NONE, 0, True), "budget must be an integer, got True"),
     # a preset first: oracle_rows(preset, m, ns)
     "oracle-rows-unknown-preset": (("nope", 1, [3]), "'nope' is not a valid Preset"),
+    "oracle-rows-no-rows-unknown-preset": (("nope", 1, []), "'nope' is not a valid Preset"),
+    "oracle-rows-no-rows-float-budget": (("ones", 1, [], 2.5), "budget must be an integer, got 2.5"),
 }
 
 
