@@ -48,11 +48,7 @@ def _form(preset: Preset, m: int, n: int, k: int) -> int:
 
 
 def closed_form(preset: Preset | str, m: int, n: int, k: int) -> int:
-    """Explicit binomial value of the depth-m triangle entry c(n, k), for every integer m >= 1.
-
-    Raises OutputSizeError, as check_output_size does for f_m(1..n), when
-    the entry may be too large to print.
-    """
+    """Explicit binomial value of the depth-m triangle entry c(n, k), for every integer m >= 1."""
     preset = Preset(preset)
     for what, value in (("depth m", m), ("n", n), ("k", k)):
         _check_integer(what, value)
@@ -60,8 +56,8 @@ def closed_form(preset: Preset | str, m: int, n: int, k: int) -> int:
         raise ValueError("depth m must be >= 1")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    # c(n, k) <= f_m(n): refuse an entry too large to print before any sum, at
-    # top 1 first, so that the seed is built only for an n that can pass
+    # c(n, k) <= f_m(n), so refuse what could not be printed; top 1 first, so
+    # that the seed is built only for an n that can pass
     check_output_size(n, m, 1)
     check_output_size(n, m, max(make_seed(preset, n).values))
     return _form(preset, m, n, k)

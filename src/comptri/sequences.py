@@ -15,19 +15,16 @@ closed form F_m = F_0 / (1 - m F_0), that is
 
     f_m(n) = f_0(n) + m * sum_{i=1}^{n-1} f_0(i) * f_m(n-i).
 
-Every preset's F_0 is a ratio P/Q of polynomials, deg P <= 3 and
-deg Q <= 2, with Q(0) = 1 (ones x/(1-x), fib x+x^2, odd x/(1-x^2),
-natural x/(1-x)^2, ge2 x^2/(1-x), two_three x^2+x^3), and that pair is the
-preset's one definition.  So F_m = P/D with D = Q - m P, and one recurrence,
-g(n) = p_n - sum_{i>=1} d_i g(n-i), expands both the seed (D = Q) and f_m,
-in O(N deg D) steps.  iterate_invert uses a seed's pair only when its label
-names a preset and P/Q expands to its stored prefix; any other seed is the
-pair P = f_0, Q = 1, where the recurrence is the closed form above, so a
-custom seed costs O(N nnz) whatever m is.  invert_transform keeps the
-one-step definition.  The checks of f_m that do not use the closed form
-are triangle.transform_via_triangle, the row sums of depth-m triangles
-built from the depth-(m-1) weights (verify.row_sums) or from f_0 alone
-(the convolution route), and verify.depth_one_expansion.
+Each preset is defined by its F_0 = P/Q (deg P <= 3, deg Q <= 2), so
+F_m = P/D with D = Q - m P, and one recurrence, g(n) = p_n - sum_{i>=1}
+d_i g(n-i), expands the seed (D = Q) and f_m in O(N deg D) steps.  A seed
+takes its preset's pair only if its label names the preset and P/Q expands
+to its values; any other is P = f_0, Q = 1, the closed form above, in
+O(N nnz) steps whatever m is.  invert_transform keeps the one-step
+definition.  The checks of f_m that do not use the closed form are
+triangle.transform_via_triangle, the row sums of depth-m triangles built
+from the depth-(m-1) weights (verify.row_sums), and
+verify.depth_one_expansion.
 
 check_output_size is the one output-size rule: it bounds the bit length of
 f_m(1..N), and so of every triangle entry c_m(n, k) <= f_m(n), before any
@@ -139,12 +136,8 @@ def invert_transform(f: ArithmeticFunction) -> ArithmeticFunction:
 
 
 def iterate_invert(f0: ArithmeticFunction, m: int) -> ArithmeticFunction:
-    """The m-th invert transform f_m; m = 0 returns f0 itself.
-
-    F_m = P/(Q - m P) for the seed's F_0 = P/Q: a preset's own pair when
-    f0's label names it and P/Q expands to f0's values, else P = f_0 and
-    Q = 1, so the cost never grows with m.
-    """
+    """The m-th invert transform f_m = P/(Q - m P) for f0's F_0 = P/Q (see
+    the module docstring); m = 0 returns f0 itself."""
     if m < 0:
         raise ValueError("the transform is only iterated forward, m must be >= 0")
     if m == 0:
