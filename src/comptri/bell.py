@@ -20,15 +20,14 @@ from __future__ import annotations
 from math import comb
 from typing import Sequence
 
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, check_integer
 from .pascal import LowerTriangularMatrix, mat_mul, pascal_lower
 from .sequences import ArithmeticFunction, invert_transform
 
 
 def _check_prefix(x: Sequence, n_max: int) -> None:
     """Refuse an n_max that is not an int >= 0, or fewer than n_max arguments."""
-    if isinstance(n_max, bool) or not isinstance(n_max, int):
-        raise ValueError(f"n_max must be an integer, got {n_max!r}")
+    check_integer("n_max", n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if len(x) < n_max:

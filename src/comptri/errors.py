@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer-argument rule."""
+
+
+def check_integer(what: str, value) -> None:
+    """Refuse a ``value`` that is a bool or not an int, naming it ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 class ComptriError(Exception):

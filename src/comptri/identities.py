@@ -14,9 +14,9 @@ from __future__ import annotations
 import functools
 from math import comb
 
+from .errors import check_integer
 from .sequences import Preset, check_output_size, make_seed
 from .triangle import triangle_recurrence
-from .words import _check_integer
 
 PolynomialZ = tuple[int, ...]
 
@@ -51,7 +51,7 @@ def closed_form(preset: Preset | str, m: int, n: int, k: int) -> int:
     """Explicit binomial value of the depth-m triangle entry c(n, k), for every integer m >= 1."""
     preset = Preset(preset)
     for what, value in (("depth m", m), ("n", n), ("k", k)):
-        _check_integer(what, value)
+        check_integer(what, value)
     if m < 1:
         raise ValueError("depth m must be >= 1")
     if not 1 <= k <= n:
@@ -70,7 +70,7 @@ def check_closed_forms(preset: Preset | str, order: int) -> list[bool | str]:
     the text of the failure.
     """
     preset = Preset(preset)
-    _check_integer("order", order)
+    check_integer("order", order)
     f0 = make_seed(preset, order)
     outcomes: list[bool | str] = []
     # depths 1-3, ODD at 1: perfbench pins the default verify at 6281 checks

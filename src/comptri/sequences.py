@@ -36,7 +36,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import zip_longest
 
-from .errors import InvalidSeedError, OutputSizeError
+from .errors import InvalidSeedError, OutputSizeError, check_integer
 from .records import Record, set_field
 
 # str() of an int refuses more than 4300 decimal digits (about 14 300 bits)
@@ -119,6 +119,7 @@ def make_seed(preset: Preset | str, n_terms: int) -> ArithmeticFunction:
     """The prefix f_0(1..n_terms) of a preset; wrap an explicit f_0 in
     ArithmeticFunction instead."""
     preset = Preset(preset)
+    check_integer("n_terms", n_terms)
     if n_terms < 1:
         raise InvalidSeedError("n_terms must be at least 1")
     return ArithmeticFunction(_series(*_RATIONAL[preset.value], n_terms), label=preset.value)
@@ -138,6 +139,7 @@ def invert_transform(f: ArithmeticFunction) -> ArithmeticFunction:
 def iterate_invert(f0: ArithmeticFunction, m: int) -> ArithmeticFunction:
     """The m-th invert transform f_m = P/(Q - m P) for f0's F_0 = P/Q (see
     the module docstring); m = 0 returns f0 itself."""
+    check_integer("m", m)
     if m < 0:
         raise ValueError("the transform is only iterated forward, m must be >= 0")
     if m == 0:

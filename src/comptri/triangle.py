@@ -54,7 +54,7 @@ from __future__ import annotations
 from operator import mul
 
 from .bell import bell_triangle
-from .errors import InsufficientSeedError
+from .errors import InsufficientSeedError, check_integer
 from .pascal import LowerTriangularMatrix, mat_mul, pascal_lower
 from .sequences import ArithmeticFunction, check_output_size, iterate_invert
 
@@ -62,7 +62,10 @@ ORDER_CAP = 64
 
 
 def _prefix(f0: ArithmeticFunction, m: int, order: int) -> ArithmeticFunction:
-    """f0(1..order), once the order and the size of the depth-m triangle pass."""
+    """f0(1..order), once m and the order are integers (errors.check_integer)
+    and the order and the size of the depth-m triangle pass."""
+    check_integer("depth m", m)
+    check_integer("order", order)
     if m < 1:
         raise ValueError("depth m must be >= 1")
     if order < 1:
@@ -155,7 +158,7 @@ def triangle_pascal(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangul
     At m = 1 the Pascal power is the identity, so it returns triangle_recurrence's
     triangle at half the cost; it is not an independent route there."""
     if m == 1:
-        return triangle_recurrence(f0, 1, order)
+        return triangle_recurrence(f0, m, order)
     base = triangle_recurrence(_prefix(f0, m, order), 1, order)
     return mat_mul(base, pascal_lower(order, m - 1))
 

@@ -46,7 +46,7 @@ import itertools
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EnumerationBudgetError
+from .errors import EnumerationBudgetError, check_integer
 from .records import Record, set_field
 from .sequences import Preset
 
@@ -146,19 +146,12 @@ def _passes(planes, count: int, length: int, restriction: Restriction):
     nonzeros = zeros ^ (1 << length) - 1
     if restriction is Restriction.ISOLATED_NONZEROS:
         return nonzeros & nonzeros >> 1 == 0
-    if restriction is Restriction.ZERO_FRAMED_BOUNDED:
-        # both end bits; with no letters, bit 0 lies outside the word
-        ends = 1 | (1 << length) >> 1
-        ok = zeros & ends == ends
-        ok &= nonzeros & nonzeros >> 1 == 0
-        ok &= zeros & zeros >> 1 & zeros >> 2 == 0
-        return ok
-    raise ValueError(f"unknown restriction {restriction!r}")
-
-
-def _check_integer(what: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+    # ZERO_FRAMED_BOUNDED: both end bits; with no letters, bit 0 lies outside the word
+    ends = 1 | (1 << length) >> 1
+    ok = zeros & ends == ends
+    ok &= nonzeros & nonzeros >> 1 == 0
+    ok &= zeros & zeros >> 1 & zeros >> 2 == 0
+    return ok
 
 
 class WordModel(Record):
@@ -179,25 +172,20 @@ class WordModel(Record):
         marked_letter: int | None = None,
         marked_count: int | None = None,
     ) -> None:
-        # a plain int passes on its type alone, so a valid model makes no call
-        if type(alphabet) is not int:
-            _check_integer("alphabet size", alphabet)
+        check_integer("alphabet size", alphabet)
         if alphabet < 1:
             raise ValueError("alphabet size must be >= 1")
-        if type(length) is not int:
-            _check_integer("length", length)
+        check_integer("length", length)
         if length < 0:
             raise ValueError("length must be >= 0")
         if type(restriction) is not Restriction:
             raise ValueError(f"unknown restriction {restriction!r}")
         if marked_letter is not None:
-            if type(marked_letter) is not int:
-                _check_integer("marked letter", marked_letter)
+            check_integer("marked letter", marked_letter)
             if not 0 <= marked_letter < alphabet:
                 raise ValueError("marked letter must belong to the alphabet")
         if marked_count is not None:
-            if type(marked_count) is not int:
-                _check_integer("marked count", marked_count)
+            check_integer("marked count", marked_count)
             if marked_letter is None:
                 raise ValueError("a marked count needs a marked letter")
             if marked_count < 0:
@@ -210,8 +198,7 @@ class WordModel(Record):
 
 
 def _check_budget(alphabet: int, length: int, budget: int) -> None:
-    if type(budget) is not int:
-        _check_integer("budget", budget)
+    check_integer("budget", budget)
     # alphabet**length >= 2**((bits - 1) * length), which exceeds the budget
     # from its bit length on, so a large space is refused before its power is
     # formed; the message never expands it
@@ -339,16 +326,14 @@ def mark_histograms(
     EnumerationBudgetError is raised at the first that does not.
     """
     # WordModel would take None for no marked letter
-    if type(marked_letter) is not int:
-        _check_integer("marked letter", marked_letter)
+    check_integer("marked letter", marked_letter)
     lengths = list(lengths)
     # each length's model checks the arguments, the empty word's if there is none
     for length in lengths or [0]:
         WordModel(alphabet, length, restriction, marked_letter)
     if any(a > b for a, b in zip(lengths, lengths[1:])):
         raise ValueError("lengths must not decrease")
-    if type(budget) is not int:
-        _check_integer("budget", budget)
+    check_integer("budget", budget)
     return _histograms(alphabet, lengths, restriction, marked_letter, budget)
 
 
@@ -473,6 +458,8 @@ def oracle_model(preset: Preset | str, m: int, n: int) -> WordModel:
     (see oracle_row).  GE2 is only covered for n > 3.
     """
     preset = Preset(preset)
+    check_integer("depth m", m)
+    check_integer("n", n)
     if m < 1:
         raise ValueError("depth m must be >= 1")
     if n < 1:

@@ -1,7 +1,8 @@
 """The public names and the functions the benchmark tracer patches exist,
 the tracer sees every triangle route, the README's library session runs and
 its list of record types is whole, no module keeps an unused import or an
-unused private name, and no public name is used by the unit tests alone."""
+unused private name or imports another's, and no public name is used by the
+unit tests alone."""
 
 import ast
 import doctest
@@ -86,6 +87,20 @@ def test_no_unused_module_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for line, name in _module_imports(tree) if name not in used]
     assert unused == []
+
+
+def test_no_private_name_is_imported_from_another_module():
+    # a rule two modules need belongs in a public name of one of them
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "comptri"):
+                found += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                ]
+    assert found == []
 
 
 def test_no_module_imports_dataclasses():

@@ -15,6 +15,7 @@ from comptri import (
     check_chebyshev,
     check_power_expansion,
     check_word_binomial,
+    iterate_invert,
     make_seed,
     mark_histogram,
     oracle_model,
@@ -47,6 +48,27 @@ GUARDS = {
         "marked letter must belong to the alphabet",
     ),
     "oracle_model-n-zero": (lambda: oracle_model("ones", 1, 0), ValueError, "n must be >= 1"),
+    "oracle_model-bool-depth": (
+        lambda: oracle_model("fib", True, 3), ValueError, "depth m must be an integer, got True"
+    ),
+    "oracle_model-float-depth": (
+        lambda: oracle_model("fib", 2.0, 4), ValueError, "depth m must be an integer, got 2.0"
+    ),
+    "oracle_model-float-n": (
+        lambda: oracle_model("fib", 2, 4.0), ValueError, "n must be an integer, got 4.0"
+    ),
+    "make_seed-bool-terms": (
+        lambda: make_seed("fib", True), ValueError, "n_terms must be an integer, got True"
+    ),
+    "make_seed-float-terms": (
+        lambda: make_seed("fib", 3.0), ValueError, "n_terms must be an integer, got 3.0"
+    ),
+    "iterate_invert-bool-m": (
+        lambda: iterate_invert(make_seed("fib", 3), True), ValueError, "m must be an integer, got True"
+    ),
+    "iterate_invert-float-m": (
+        lambda: iterate_invert(make_seed("fib", 3), 1.0), ValueError, "m must be an integer, got 1.0"
+    ),
     "check-unknown-restriction": (
         lambda: check((0, 1), "none"), ValueError, "unknown restriction 'none'"
     ),
@@ -67,6 +89,12 @@ GUARDS = {
     ),
     "WordModel-bool-marked-letter": (
         lambda: WordModel(3, 2, R.NONE, True), ValueError, "marked letter must be an integer, got True"
+    ),
+    "WordModel-fractional-marked-count": (
+        lambda: WordModel(3, 2, R.NONE, 1, 1.5), ValueError, "marked count must be an integer, got 1.5"
+    ),
+    "WordModel-bool-marked-count": (
+        lambda: WordModel(3, 2, R.NONE, 1, True), ValueError, "marked count must be an integer, got True"
     ),
     "WordModel-unknown-restriction": (
         lambda: WordModel(3, 2, "none"), ValueError, "unknown restriction 'none'"

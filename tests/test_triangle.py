@@ -317,3 +317,16 @@ def test_depth_validation():
     for build in ROUTES.values():
         with pytest.raises(ValueError):
             build(f0, 0, 4)
+
+
+@pytest.mark.parametrize(
+    ("m", "order", "message"),
+    [(m, 4, f"depth m must be an integer, got {m!r}") for m in (True, 1.0, 1.5, "2")]
+    + [(m, order, f"order must be an integer, got {order!r}") for order in (True, 3.0) for m in (1, 2)],
+)
+def test_every_route_refuses_a_non_integer_depth_or_order(m, order, message):
+    # the routes share one gate, so each refuses the same input with one message
+    for build in ROUTES.values():
+        with pytest.raises(ValueError) as info:
+            build(make_seed("ones", 4), m, order)
+        assert str(info.value) == message
