@@ -44,7 +44,6 @@ from .sequences import (
 )
 from .triangle import (
     row_sum,
-    transform_via_triangle,
     triangle_bell,
     triangle_convolution,
     triangle_pascal,
@@ -108,7 +107,6 @@ __all__ = [
     "pascal_lower",
     "row_sum",
     "shifted_pascal_inverse",
-    "transform_via_triangle",
     "triangle_bell",
     "triangle_convolution",
     "triangle_pascal",

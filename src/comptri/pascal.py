@@ -6,7 +6,7 @@ from itertools import chain
 from math import comb
 from operator import mul
 
-from .errors import DimensionError
+from .errors import DimensionError, check_integer
 from .records import Record, set_field
 
 
@@ -55,6 +55,8 @@ def pascal_lower(order: int, power: int = 1) -> LowerTriangularMatrix:
     """L**power for the Pascal matrix L, from its closed form: entry (i, j) is
     power^(i-j) C(i-1, j-1).  The default gives L itself, C(i-1, j-1), and
     power 0 the identity."""
+    check_integer("order", order)
+    check_integer("power", power)
     return LowerTriangularMatrix(
         tuple(
             tuple(power ** (i - j) * comb(i - 1, j - 1) for j in range(1, i + 1))
@@ -79,6 +81,7 @@ def mat_mul(a: LowerTriangularMatrix, b: LowerTriangularMatrix) -> LowerTriangul
 
 def mat_pow(a: LowerTriangularMatrix, e: int) -> LowerTriangularMatrix:
     """a**e by repeated squaring; e = 0 gives the identity."""
+    check_integer("power", e)
     if e < 0:
         raise ValueError("negative powers are not defined here")
     result = pascal_lower(a.order, 0)

@@ -21,10 +21,9 @@ d_i g(n-i), expands the seed (D = Q) and f_m in O(N deg D) steps.  A seed
 takes its preset's pair only if its label names the preset and P/Q expands
 to its values; any other is P = f_0, Q = 1, the closed form above, in
 O(N nnz) steps whatever m is.  invert_transform keeps the one-step
-definition.  The checks of f_m that do not use the closed form are
-triangle.transform_via_triangle, the row sums of depth-m triangles built
-from the depth-(m-1) weights (verify.row_sums), and
-verify.depth_one_expansion.
+definition.  The checks of f_m that do not use the closed form are the
+row sums of depth-m triangles built from the depth-(m-1) weights
+(verify.row_sums) and verify.depth_one_expansion.
 
 check_output_size is the one output-size rule: it bounds the bit length of
 f_m(1..N), and so of every triangle entry c_m(n, k) <= f_m(n), before any
@@ -164,6 +163,9 @@ def check_output_size(n: int, m: int, top: int) -> int:
     OutputSizeError when b exceeds MAX_ENTRY_BITS or n * b exceeds
     MAX_OUTPUT_BITS; returns b otherwise.
     """
+    check_integer("n", n)
+    check_integer("m", m)
+    check_integer("top", top)
     top = max(top, 1)
     bits = top.bit_length() + (n - 1) * (m * top + 1).bit_length()
     if bits > MAX_ENTRY_BITS or n * bits > MAX_OUTPUT_BITS:

@@ -200,21 +200,7 @@ def disagreements(triangles: dict[str, tuple]) -> list[tuple[int, int, dict[str,
 
 def row_sum(tri: LowerTriangularMatrix, n: int) -> int:
     """sum_k c(n, k), which equals f_m(n) for the triangle's seed and depth."""
+    check_integer("n", n)
     if not 1 <= n <= tri.order:
         raise IndexError(f"n must lie in 1..{tri.order}")
     return sum(tri.rows[n - 1])
-
-
-def transform_via_triangle(f0: ArithmeticFunction, m: int, n: int) -> int:
-    """f_m(n) recovered from the depth-1 triangle: sum_i m^(i-1) c_1(n, i).
-
-    Independent of iterate_invert except for the shared seed; useful as a
-    cross-check of both routes.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not 1 <= n <= len(f0):
-        raise IndexError(f"n must lie in 1..{len(f0)}")
-    tri = triangle_recurrence(f0, 1, n)
-    return sum(m ** (i - 1) * tri.entry(n, i) for i in range(1, n + 1))
-

@@ -30,7 +30,7 @@ from .identities import (
 from .pascal import LowerTriangularMatrix, mat_mul, mat_pow, pascal_lower, shifted_pascal_inverse
 from .records import Record, set_field
 from .sequences import ArithmeticFunction, Preset, iterate_invert, make_seed
-from .triangle import row_sum, transform_via_triangle, triangle_recurrence
+from .triangle import row_sum, triangle_recurrence
 from .words import DEFAULT_BUDGET, oracle_rows
 
 DEPTHS = range(1, 6)
@@ -117,19 +117,6 @@ def depth_one_expansion(n_max: int, inputs: tuple[dict, dict] | None = None):
             for n, row in enumerate(base.rows, start=1):
                 yield sum(map(mul, row, powers)) == fm(n) or (
                     f"{preset.value} m={m} n={n}: depth-1 expansion != transform"
-                )
-
-
-@_sweep
-def triangle_transform(n_max: int):
-    """transform_via_triangle(f_0, m, n) = f_m(n), for the presets, m <= 5, n <= n_max."""
-    for preset in Preset:
-        f0 = make_seed(preset, n_max)
-        for m in DEPTHS:
-            fm = iterate_invert(f0, m)
-            for n in range(1, n_max + 1):
-                yield transform_via_triangle(f0, m, n) == fm(n) or (
-                    f"{preset.value} m={m} n={n}: transform_via_triangle != transform"
                 )
 
 

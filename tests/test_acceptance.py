@@ -26,6 +26,8 @@ from comptri.triangle import ROUTES, disagreements
 
 PRESETS = ("ones", "fib", "odd", "natural", "ge2", "two_three")
 BUDGET = 1 << 26
+# each criterion's comparison count, so that no criterion loses comparisons
+CHECKS = {1: 24, 2: 900, 3: 1350, 4: 1682, 5: 3360, 6: 894, 7: 26, 8: 180, 9: 155, 10: 4131}
 
 
 def _verdict(capsys, num, label, failures, checks, t0):
@@ -36,6 +38,7 @@ def _verdict(capsys, num, label, failures, checks, t0):
     with capsys.disabled():
         print(line, flush=True)
     assert not failures, line
+    assert checks == CHECKS[num], f"{line}; expected {CHECKS[num]} comparisons"
 
 
 def test_criterion_01_four_way_agreement(capsys):
@@ -59,9 +62,8 @@ def test_criterion_02_row_sums(capsys):
 
 def test_criterion_03_depth_one_expansion(capsys):
     t0 = time.perf_counter()
-    # transform_via_triangle takes the same route; the second sweep exercises it directly
-    result = verify.combine(verify.depth_one_expansion(30), verify.triangle_transform(15))
-    _verdict(capsys, 3, "f_m(n) = sum_i m^(i-1) c_1(n,i) (presets, m<=5, n<=30)", result.failures, result.checks, t0)
+    result = verify.depth_one_expansion(45)
+    _verdict(capsys, 3, "f_m(n) = sum_i m^(i-1) c_1(n,i) (presets, m<=5, n<=45)", result.failures, result.checks, t0)
 
 
 def test_criterion_04_word_oracle(capsys):

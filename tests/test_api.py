@@ -120,9 +120,9 @@ def test_no_module_imports_dataclasses():
 
 
 def _module_names(tree):
-    """(line, name) of each function and each assigned name at module level."""
+    """(line, name) of each function, class and assigned name at module level."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.lineno, node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -152,14 +152,16 @@ def test_no_unused_private_functions():
 
 
 def test_every_export_is_used_outside_the_unit_tests():
-    # a name in __all__ is used when a module of the package other than
+    # a name in __all__, or a public function, class or constant at the top
+    # level of a module, is used when a module of the package other than
     # __init__ loads it, or when the README, the benchmark or the acceptance
-    # tests name it; an export only the unit tests call should go
+    # tests name it; a name only the unit tests call should go
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     loaded = set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
+    for name, tree in trees.items():
+        if name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -167,4 +169,5 @@ def test_every_export_is_used_outside_the_unit_tests():
     documents = [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
     text = "\n".join(path.read_text() for path in documents + sorted((ROOT / "perfbench").glob("*.py")))
     named = set(re.findall(r"\w+", text))
-    assert [name for name in comptri.__all__ if name not in loaded | named] == []
+    public = {name for tree in trees.values() for _, name in _module_names(tree) if not name.startswith("_")}
+    assert sorted((public | set(comptri.__all__)) - loaded - named) == []

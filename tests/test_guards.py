@@ -13,12 +13,16 @@ from comptri import (
     check,
     check_binomial_inversion,
     check_chebyshev,
+    check_output_size,
     check_power_expansion,
     check_word_binomial,
     iterate_invert,
     make_seed,
     mark_histogram,
+    mat_pow,
     oracle_model,
+    pascal_lower,
+    row_sum,
     triangle_recurrence,
 )
 
@@ -68,6 +72,30 @@ GUARDS = {
     ),
     "iterate_invert-float-m": (
         lambda: iterate_invert(make_seed("fib", 3), 1.0), ValueError, "m must be an integer, got 1.0"
+    ),
+    "pascal_lower-bool-order": (
+        lambda: pascal_lower(True), ValueError, "order must be an integer, got True"
+    ),
+    "pascal_lower-bool-power": (
+        lambda: pascal_lower(3, True), ValueError, "power must be an integer, got True"
+    ),
+    "mat_pow-bool-power": (
+        lambda: mat_pow(pascal_lower(3), True), ValueError, "power must be an integer, got True"
+    ),
+    "mat_pow-float-power": (
+        lambda: mat_pow(pascal_lower(3), 2.0), ValueError, "power must be an integer, got 2.0"
+    ),
+    "row_sum-bool-n": (
+        lambda: row_sum(pascal_lower(3), True), ValueError, "n must be an integer, got True"
+    ),
+    "row_sum-float-n": (
+        lambda: row_sum(pascal_lower(3), 1.0), ValueError, "n must be an integer, got 1.0"
+    ),
+    "check_output_size-float-n": (
+        lambda: check_output_size(3.0, 1, 1), ValueError, "n must be an integer, got 3.0"
+    ),
+    "check_output_size-float-top": (
+        lambda: check_output_size(3, 1, 1.5), ValueError, "top must be an integer, got 1.5"
     ),
     "check-unknown-restriction": (
         lambda: check((0, 1), "none"), ValueError, "unknown restriction 'none'"

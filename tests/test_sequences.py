@@ -13,7 +13,6 @@ from comptri import (
     invert_transform,
     iterate_invert,
     make_seed,
-    transform_via_triangle,
 )
 
 PRESETS = ("ones", "fib", "odd", "natural", "ge2", "two_three")
@@ -198,20 +197,3 @@ def test_output_size_rule():
     assert check_output_size(2000, 1, 1) * 2000 <= 2**24
     with pytest.raises(OutputSizeError, match="16777216 in all"):
         check_output_size(3000, 1, 1)
-
-
-@pytest.mark.parametrize("preset", PRESETS)
-def test_transform_via_triangle_agrees(preset):
-    f0 = make_seed(preset, 12)
-    for m in range(1, 5):
-        fm = iterate_invert(f0, m)
-        for n in range(1, 13):
-            assert transform_via_triangle(f0, m, n) == fm(n)
-
-
-def test_transform_via_triangle_validation():
-    f0 = make_seed("ones", 4)
-    with pytest.raises(ValueError):
-        transform_via_triangle(f0, 0, 3)
-    with pytest.raises(IndexError):
-        transform_via_triangle(f0, 1, 5)
