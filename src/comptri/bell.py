@@ -10,7 +10,9 @@ ch. III), which splits off the block that holds the element n,
 with B(0, 0) = 1 and B(n, 0) = 0 for n >= 1.  It only adds and multiplies,
 so integer arguments give exact integers and the table divides nowhere.
 
-bell_triangle is the Bell route of the triangle module at w = f_(m-1), and
+bell_triangle is the Bell route of the triangle module at w = f_(m-1),
+c(n, k) = (k!/n!) B(n, k) at x_i = i! w_i.  It runs the same recurrence on
+c itself, so its entries never carry the factorials that B(n, k) does.
 bell_invert_identity_check compares bell_triangle(x) L, for the Pascal
 matrix L, with bell_triangle(y), for y the invert transform of x.
 """
@@ -18,6 +20,7 @@ matrix L, with bell_triangle(y), for y the invert transform of x.
 from __future__ import annotations
 
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .errors import InternalConsistencyError, check_integer
@@ -65,24 +68,36 @@ def bell_table(x: Sequence[int], n_max: int) -> list[list[int]]:
 
 def bell_triangle(w: Sequence[int], order: int) -> LowerTriangularMatrix:
     """c(n, k) = (k! / n!) B_{n,k}(1! w_1, 2! w_2, ...) for 1 <= k <= n <= order.
-    That is the total w-weight of the compositions of n into k parts, so every
-    (k! / n!) scaling is exact; a remainder raises InternalConsistencyError.
-    ``w`` and ``order`` are checked as bell_table checks x and n_max, unscaled."""
+
+    That is the total w-weight of the compositions of n into k parts.  Each
+    term of Comtet's recurrence at x_i = i! w_i is (n-1)!/(k-1)! times
+    j w_j c(n-j, k-1), for j = i + 1, so with that factor divided out
+
+        n c(n, k) = k sum_{j=1}^{n-k+1} j w_j c(n-j, k-1),
+
+    and every division by n is exact; a remainder raises
+    InternalConsistencyError.  ``w`` and ``order`` are checked as bell_table
+    checks x and n_max.
+    """
     _check_arguments(w, order)
-    fact = [1]
-    for i in range(1, order + 1):
-        fact.append(fact[-1] * i)
-    table = bell_table([fact[i] * w[i - 1] for i in range(1, order + 1)], order)
+    jw = [j * v for j, v in enumerate(w[:order], start=1)]
+    # once row n - 1 is built, columns[k] lists c(i, k) for i from k up to
+    # n - 1, column 0 being [1, 0, 0, ...]; read backwards, column k - 1 pairs
+    # c(n - j, k - 1) with j w_j for j = 1..n-k+1
+    columns: list[list[int]] = [[1]]
     rows = []
     for n in range(1, order + 1):
         row = []
-        for k in range(1, n + 1):
-            q, r = divmod(table[n][k] * fact[k], fact[n])
+        for k, column in enumerate(columns, start=1):
+            q, r = divmod(k * sum(map(mul, jw, reversed(column))), n)
             if r:
                 raise InternalConsistencyError(
-                    f"k!/n! scaling of B({n},{k}) is not exact"
+                    f"Comtet's sum for c({n},{k}) is not divisible by {n}"
                 )
             row.append(q)
+        for column, c in zip(columns, (0, *row)):
+            column.append(c)
+        columns.append([row[-1]])
         rows.append(tuple(row))
     return LowerTriangularMatrix(rows)
 

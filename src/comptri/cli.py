@@ -7,13 +7,15 @@ endings and is deterministic for a fixed invocation.
 ``triangle`` builds each route that --algo names from ``triangle.ROUTES``,
 formats the first one's triangle once it is built, and prints that text only
 if ``triangle.disagreements`` finds no entry where the routes differ.
-``triangle --algo all`` and ``verify`` with no --suite hand the routes in
-_CHILD_ROUTES, or the suites in _CHILD_SUITES, to a child made by os.fork
-when os.fork exists and more than one CPU is usable (the affinity mask, else
-os.cpu_count()); otherwise this process does all the work.  A fork costs
-about 1.7 ms, so a wide triangle at N=64 takes about as long as the slower
-side, the formatting counted on this one.  The output, the exit code and the
-reported failure are those of an in-process run.
+``triangle --algo all`` and ``verify`` with no --suite hand the routes of
+one split in _CHILD_ROUTES, or the suites in _CHILD_SUITES, to a child made
+by os.fork when os.fork exists and more than one CPU is usable (the affinity
+mask, else os.cpu_count()); otherwise this process does all the work.  The
+triangle's split is chosen by sequences.check_output_size, and this process
+always builds and formats the printed recurrence.  A fork costs about
+1.7 ms, so a triangle at N=64 takes about as long as the slower side, the
+formatting counted on this one.  The output, the exit code and the reported
+failure are those of an in-process run.
 
 Startup imports only what every command needs.  ``json`` is imported by the
 ``--format json`` branches, ``pickle`` by the commands that fork, and numpy
@@ -41,11 +43,16 @@ EXIT_BUDGET = 3
 
 BUDGET_CAP = 1 << 30  # under half a minute at about 5e7 words/s
 
-# `triangle --algo all` builds these routes in a forked child while it builds
-# and formats the others: over the 32 triangles at N=64 of one perfbench algebra
-# pass, 0.44 s against 0.50 s (each triangle's best of 3 on 2 vCPUs); a pass is
-# 6% slower with bell and pascal in the child, the next best split
-_CHILD_ROUTES = ("conv", "bell")
+# `triangle --algo all` builds one split's routes in a forked child while this
+# process builds and formats the others, the printed recurrence among them.  On
+# narrow entries every route costs about the same, so bell stays here; on wide
+# ones bell's and the recurrence's products by the weights dominate, so bell
+# joins the child.  The split is wide when check_output_size's bit bound on the
+# entries exceeds _WIDE_BITS: forked `--algo all` at N=64 and m >= 2 on custom
+# seeds of b-bit values crossed over between bounds of 1406 and 1599 (b = 20
+# and 24; medians of 25 calls a side on 2 vCPUs, BENCH_width_split.json)
+_CHILD_ROUTES = {"narrow": ("conv", "pascal"), "wide": ("conv", "bell", "pascal")}
+_WIDE_BITS = 1536
 # `verify` with no --suite runs these suites in a forked child while it runs the
 # others, word counting (and numpy) among them: 14.7 ms against 14.6 ms at default
 # bounds (the sums of each suite's best of 15 on 2 vCPUs); no other split is shorter
@@ -216,6 +223,15 @@ def _run_in_order(names, child_names, jobs):
         yield name, done[name]
 
 
+def _child_routes(seed: ArithmeticFunction, m: int, n: int) -> tuple[str, ...]:
+    """_CHILD_ROUTES of the split that the bit bound of the depth-m triangle picks."""
+    try:
+        wide = check_output_size(n, m, max(seed.values)) > _WIDE_BITS
+    except OutputSizeError:  # every route refuses it, each after its own checks
+        wide = False
+    return _CHILD_ROUTES["wide" if wide else "narrow"]
+
+
 def _cmd_triangle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     seed, seed_repr, n = _resolve_seed(args, parser)
     names = list(ROUTES) if args.algo == "all" else [args.algo]
@@ -227,7 +243,7 @@ def _cmd_triangle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         return rows, _emit_triangle(seed_repr, args.m, n, rows, args.format)
 
     jobs[names[0]] = build_and_emit
-    triangles = dict(_run_in_order(names, _CHILD_ROUTES, jobs))
+    triangles = dict(_run_in_order(names, _child_routes(seed, args.m, n), jobs))
     triangles[names[0]], text = triangles[names[0]]
     found = disagreements(triangles)
     if found:

@@ -23,6 +23,8 @@ PolynomialZ = tuple[int, ...]
 
 def binom(n: int, k: int) -> int:
     """C(n, k), defined as 0 whenever k < 0, n < 0 or k > n."""
+    check_integer("n", n)
+    check_integer("k", k)
     return comb(n, k) if 0 <= k <= n else 0
 
 
@@ -88,6 +90,8 @@ def check_closed_forms(preset: Preset | str, order: int) -> list[bool | str]:
 
 def check_binomial_inversion(n: int, k: int) -> bool:
     """C(n-1, k-1) == sum_{j=1}^{k} (-1)^(j+k) C(k, j) C(n+j-1, n)."""
+    check_integer("n", n)
+    check_integer("k", k)
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     rhs = sum((-1) ** (j + k) * comb(k, j) * comb(n + j - 1, n) for j in range(1, k + 1))
@@ -96,6 +100,9 @@ def check_binomial_inversion(n: int, k: int) -> bool:
 
 def check_power_expansion(m: int, n: int, k: int) -> bool:
     """m^(n-k) C(n-1, k-1) == sum_j (m-1)^j C(n-1, k+j-1) C(k+j-1, j), m > 1."""
+    check_integer("m", m)
+    check_integer("n", n)
+    check_integer("k", k)
     if m <= 1:
         raise ValueError("defined for m > 1")
     if not 1 <= k <= n:
@@ -108,17 +115,22 @@ def check_power_expansion(m: int, n: int, k: int) -> bool:
 def check_word_binomial(n: int, k: int, words: int) -> bool:
     """C(n+k-1, 2k-1) == ``words``, the number of ternary words of length
     n-1 that avoid the factor 01 and contain exactly k-1 twos."""
+    check_integer("n", n)
+    check_integer("k", k)
+    check_integer("words", words)
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     return binom(n + k - 1, 2 * k - 1) == words
 
 
 # check_chebyshev asks for u_(n+k-2) once per pair (n, k), so for each degree
-# many times; a result is a tuple, so no caller can change a cached value
-@functools.lru_cache(maxsize=64)
+# many times; a result is a tuple, so no caller can change a cached value, and
+# typed, so that True or 2.0 never reads the value cached for 1 or 2
+@functools.lru_cache(maxsize=64, typed=True)
 def chebyshev_u(d: int) -> PolynomialZ:
     """Coefficients of the degree-d Chebyshev polynomial of the second kind,
     ascending by degree: u_0 = 1, u_1 = 2x, u_d = 2x u_(d-1) - u_(d-2)."""
+    check_integer("degree", d)
     if d < 0:
         raise ValueError("degree must be >= 0")
     prev: PolynomialZ = (1,)
@@ -137,6 +149,9 @@ def check_chebyshev(n: int, k: int, words: int) -> bool:
     """|coefficient of x^(n-k) in u_(n+k-2)| == 2^(n-k) C(n-1, k-1), and both
     equal ``words``, the number of ternary words of length n-1 with exactly
     k-1 twos."""
+    check_integer("n", n)
+    check_integer("k", k)
+    check_integer("words", words)
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     magnitude = abs(chebyshev_u(n + k - 2)[n - k])

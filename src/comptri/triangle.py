@@ -22,10 +22,11 @@ work.  Four algorithms compute the same triangle:
         c(n, k) = sum_i f_0(i) (c(n-i, k-1) + (m-1) c(n-i, k));
   * triangle_bell: partial Bell polynomials at factorial-scaled arguments,
         c(n, k) = (k! / n!) B_{n,k}(1! w(1), 2! w(2), ...),
-    which is bell.bell_triangle at w = f_(m-1).  Its table comes from
-    Comtet's recurrence, in triangle terms
+    which is bell.bell_triangle at w = f_(m-1).  It evaluates Comtet's
+    recurrence for that table in triangle terms,
         n c(n, k) = k sum_j j w(j) c(n-j, k-1),
-    whose terms carry a weight j that the first-part recurrence's lack;
+    dividing each entry by n, exactly; its terms carry a weight j that the
+    first-part recurrence's lack;
   * triangle_pascal: the depth-1 triangle times a Pascal-matrix power,
     c_m = c_1 L^(m-1), that is
         c(n, k) = sum_{i=k}^{n} (m-1)^(i-k) C(i-1, k-1) c_1(n, i),
@@ -148,7 +149,8 @@ def triangle_convolution(f0: ArithmeticFunction, m: int, order: int) -> LowerTri
 
 
 def triangle_bell(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangularMatrix:
-    """Build the triangle from partial Bell polynomials: bell.bell_triangle at w."""
+    """Build the triangle from partial Bell polynomials: bell.bell_triangle at w,
+    Comtet's recurrence in triangle terms."""
     return bell_triangle(_weights(f0, m, order), order)
 
 

@@ -13,6 +13,7 @@ from comptri import (
     InvalidSeedError,
     bell_invert_identity_check,
     bell_table,
+    iterate_invert,
     make_seed,
 )
 
@@ -134,17 +135,47 @@ def test_table_refuses_an_order_that_is_not_an_int(n_max):
 
 
 def test_bell_triangle_refuses_an_inexact_scaling(monkeypatch):
-    # B(3, 1) one too high leaves c(3, 1) = (1!/3!) B(3, 1) with a remainder
-    table = bell.bell_table
+    # Comtet's sum for c(3, 1) is 3 w_3 = 3; one too high, 1 * 4 is not divisible by 3
+    sums = []
 
-    def off_by_one(x, n_max):
-        rows = table(x, n_max)
-        rows[3][1] += 1
-        return rows
+    def off_by_one(terms):
+        sums.append(sum(terms))
+        return sums[-1] + (len(sums) == 4)
 
-    monkeypatch.setattr(bell, "bell_table", off_by_one)
-    with pytest.raises(InternalConsistencyError, match=r"B\(3,1\)"):
+    monkeypatch.setattr(bell, "sum", off_by_one, raising=False)
+    with pytest.raises(InternalConsistencyError, match=r"^Comtet's sum for c\(3,1\) is not divisible by 3$"):
         bell.bell_triangle([1, 1, 1], 3)
+    assert sums == [1, 2, 1, 3]
+
+
+def scaled_bell_table(w, order):
+    """(k!/n!) B_{n,k}(1! w_1, 2! w_2, ...) from bell_table, the Bell route's
+    definition, with every scaling asserted exact."""
+    table = bell_table([factorial(i) * v for i, v in enumerate(w[:order], start=1)], order)
+    rows = []
+    for n in range(1, order + 1):
+        scaled = [divmod(table[n][k] * factorial(k), factorial(n)) for k in range(1, n + 1)]
+        assert all(r == 0 for _, r in scaled)
+        rows.append(tuple(q for q, _ in scaled))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("preset", ("ones", "fib", "odd", "natural", "ge2", "two_three"))
+def test_bell_triangle_is_the_scaled_table_for_presets(preset):
+    for m in (1, 2, 3):
+        w = iterate_invert(make_seed(preset, 16), m - 1).values
+        assert bell.bell_triangle(w, 16).rows == scaled_bell_table(w, 16)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.lists(st.just(0) | st.integers(0, 9) | st.integers(2**63, 2**64 - 1), min_size=1, max_size=16),
+    st.booleans(),
+)
+def test_bell_triangle_is_the_scaled_table_for_custom_seeds(w, first_is_zero):
+    if first_is_zero:
+        w[0] = 0
+    assert bell.bell_triangle(w, len(w)).rows == scaled_bell_table(w, len(w))
 
 
 @pytest.mark.parametrize("preset", ("ones", "fib", "odd", "natural", "ge2", "two_three"))

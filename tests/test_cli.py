@@ -193,41 +193,90 @@ def raise_inconsistency(seed, m, n):
     raise InternalConsistencyError(f"planted failure at N={n}")
 
 
-@pytest.mark.parametrize("route", cli._CHILD_ROUTES)
+# a triangle on each side of cli._WIDE_BITS, by the split it takes; entries of
+# about 400 bits push the wide one's bit bound past it at N = 9
+SPLIT_ARGVS = {
+    "narrow": ("triangle", "--preset", "fib", "--m", "2", "--N", "9", "--algo"),
+    "wide": ("triangle", "--seed", ",".join([str(2**400)] * 9), "--m", "2", "--N", "9", "--algo"),
+}
+
+
+@pytest.mark.parametrize("route", [route for route in ROUTES if route != "recurrence"])
 def test_a_child_route_failure_reads_as_in_process(capsys, monkeypatch, route):
     monkeypatch.setitem(ROUTES, route, raise_inconsistency)
-    argv = ("triangle", "--preset", "fib", "--m", "2", "--N", "9", "--algo")
-    with monkeypatch.context() as inline:
-        no_fork(inline)
-        expected = run(capsys, *argv, "all")
-    forked(monkeypatch)
-    assert run(capsys, *argv, "all") == expected == (2, "", "error: planted failure at N=9\n")
-    assert run(capsys, *argv, route) == expected
-    assert_no_child_left()
+    splits = [split for split, routes in cli._CHILD_ROUTES.items() if route in routes]
+    assert splits
+    for split in splits:
+        argv = SPLIT_ARGVS[split]
+        with monkeypatch.context() as inline:
+            no_fork(inline)
+            expected = run(capsys, *argv, "all")
+        with monkeypatch.context() as child:
+            forked(child)
+            assert run(capsys, *argv, "all") == expected == (2, "", "error: planted failure at N=9\n")
+        assert run(capsys, *argv, route) == expected
+        assert_no_child_left()
 
 
 def test_the_first_failure_in_builder_order_is_reported(capsys, monkeypatch):
-    # pascal fails in this process, conv (earlier in ROUTES) in the child
     def raise_value_error(seed, m, n):
-        raise ValueError("pascal failed")
+        raise ValueError("planted failure here")
 
-    monkeypatch.setitem(ROUTES, "conv", raise_inconsistency)
-    monkeypatch.setitem(ROUTES, "pascal", raise_value_error)
     forked(monkeypatch)
-    argv = ("triangle", "--preset", "ones", "--m", "2", "--N", "4", "--algo", "all")
-    assert run(capsys, *argv) == (2, "", "error: planted failure at N=4\n")
-    assert_no_child_left()
+    for split, here, child, stderr in (
+        # conv fails in the child before bell, later in ROUTES, fails here
+        ("narrow", "bell", "conv", "error: planted failure at N=9\n"),
+        # the recurrence fails here before pascal, later in ROUTES, fails in the child
+        ("wide", "recurrence", "pascal", "error: planted failure here\n"),
+    ):
+        assert here not in cli._CHILD_ROUTES[split] and child in cli._CHILD_ROUTES[split]
+        with monkeypatch.context() as planted:
+            planted.setitem(ROUTES, child, raise_inconsistency)
+            planted.setitem(ROUTES, here, raise_value_error)
+            assert run(capsys, *SPLIT_ARGVS[split], "all") == (2, "", stderr)
+        assert_no_child_left()
 
 
 def test_a_child_that_sends_nothing_is_an_error(capsys, monkeypatch):
     def die(seed, m, n):
         os._exit(1)
 
-    monkeypatch.setitem(ROUTES, "bell", die)
     forked(monkeypatch)
-    argv = ("triangle", "--preset", "ones", "--m", "2", "--N", "4", "--algo", "all")
-    assert run(capsys, *argv) == (2, "", "error: the process building conv, bell sent no result\n")
-    assert_no_child_left()
+    for split, child in cli._CHILD_ROUTES.items():
+        with monkeypatch.context() as planted:
+            planted.setitem(ROUTES, child[0], die)
+            assert run(capsys, *SPLIT_ARGVS[split], "all") == (
+                2, "", f"error: the process building {', '.join(child)} sent no result\n",
+            )
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    ("split", "source"),
+    [("narrow", ("--preset", "odd", "--m", "3", "--N", "10")), ("wide", ("--seed", wide_seed(), "--m", "2", "--N", "64"))],
+    ids=["narrow", "wide"],
+)
+def test_the_split_follows_the_bit_bound(capsys, monkeypatch, split, source):
+    children = []
+    run_forked = cli._run_forked
+
+    def spy(child, own, jobs):
+        children.append(child)
+        return run_forked(child, own, jobs)
+
+    monkeypatch.setattr(cli, "_run_forked", spy)
+    forked(monkeypatch)
+    assert run(capsys, "triangle", *source, "--algo", "all")[0] == 0
+    assert children == [list(cli._CHILD_ROUTES[split])]
+
+
+def test_the_split_leaves_an_oversized_triangle_to_the_routes(capsys, monkeypatch):
+    # 200 terms over the bit bound, with no --N: the routes refuse the order
+    # first, so choosing the split must not refuse the size
+    argv = ("triangle", "--seed", ",".join([str(2**63)] * 200), "--algo")
+    forked(monkeypatch)
+    expected = (2, "", "error: order 200 exceeds the cap 64\n")
+    assert run(capsys, *argv, "all") == run(capsys, *argv, "recurrence") == expected
 
 
 PARENT_FAILURE = """
@@ -775,7 +824,10 @@ SUITE_SWEEPS = {
 def test_every_suite_has_its_sweep_and_every_forked_name_exists():
     assert list(SUITE_SWEEPS) == list(verify.suites())
     assert set(cli._CHILD_SUITES) < set(verify.suites())
-    assert set(cli._CHILD_ROUTES) < set(ROUTES)
+    # the printed recurrence is built here under either split, and each child
+    # lists its routes in ROUTES order, as the failure messages name them
+    for routes in cli._CHILD_ROUTES.values():
+        assert list(routes) == [route for route in ROUTES if route in routes and route != "recurrence"]
 
 
 def raise_planted(*args):

@@ -10,6 +10,8 @@ from comptri import (
     Restriction as R,
     WordModel,
     bell_table,
+    binom,
+    chebyshev_u,
     check,
     check_binomial_inversion,
     check_chebyshev,
@@ -96,6 +98,29 @@ GUARDS = {
     ),
     "check_output_size-float-top": (
         lambda: check_output_size(3, 1, 1.5), ValueError, "top must be an integer, got 1.5"
+    ),
+    "binom-bool-n": (lambda: binom(True, 1), ValueError, "n must be an integer, got True"),
+    "binom-float-n": (lambda: binom(4.0, 2), ValueError, "n must be an integer, got 4.0"),
+    "binomial_inversion-bool-n": (
+        lambda: check_binomial_inversion(True, 1), ValueError, "n must be an integer, got True"
+    ),
+    "power_expansion-bool-n": (
+        lambda: check_power_expansion(2, True, 1), ValueError, "n must be an integer, got True"
+    ),
+    "power_expansion-float-m": (
+        lambda: check_power_expansion(2.0, 2, 1), ValueError, "m must be an integer, got 2.0"
+    ),
+    "word_binomial-float-n": (
+        lambda: check_word_binomial(2.0, 1, 1), ValueError, "n must be an integer, got 2.0"
+    ),
+    "word_binomial-bool-words": (
+        lambda: check_word_binomial(2, 1, True), ValueError, "words must be an integer, got True"
+    ),
+    "chebyshev-bool-n": (
+        lambda: check_chebyshev(True, 1, 1), ValueError, "n must be an integer, got True"
+    ),
+    "chebyshev_u-bool-degree": (
+        lambda: chebyshev_u(True), ValueError, "degree must be an integer, got True"
     ),
     "check-unknown-restriction": (
         lambda: check((0, 1), "none"), ValueError, "unknown restriction 'none'"
