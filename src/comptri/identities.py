@@ -15,7 +15,7 @@ import functools
 from math import comb
 
 from .errors import check_integer
-from .sequences import Preset, check_output_size, make_seed
+from .sequences import Preset, entry_bits, make_seed
 from .triangle import triangle_recurrence
 
 PolynomialZ = tuple[int, ...]
@@ -58,10 +58,10 @@ def closed_form(preset: Preset | str, m: int, n: int, k: int) -> int:
         raise ValueError("depth m must be >= 1")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    # c(n, k) <= f_m(n), so refuse what could not be printed; top 1 first, so
-    # that the seed is built only for an n that can pass
-    check_output_size(n, m, 1)
-    check_output_size(n, m, max(make_seed(preset, n).values))
+    # c(n, k) <= f_m(n), so refuse an entry that could not be printed; top 1
+    # first, so that the seed is built only for an n that can pass
+    entry_bits(n, m, 1)
+    entry_bits(n, m, max(make_seed(preset, n).values))
     return _form(preset, m, n, k)
 
 

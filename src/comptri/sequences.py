@@ -21,13 +21,15 @@ d_i g(n-i), expands the seed (D = Q) and f_m in O(N deg D) steps.  A seed
 takes its preset's pair only if its label names the preset and P/Q expands
 to its values; any other is P = f_0, Q = 1, the closed form above, in
 O(N nnz) steps whatever m is.  invert_transform keeps the one-step
-definition.  The checks of f_m that do not use the closed form are the
-row sums of depth-m triangles built from the depth-(m-1) weights
-(verify.row_sums) and verify.depth_one_expansion.
+definition.  The check of f_m that does not use the closed form is
+verify.weighted_row_sums, sum_k c_d(n, k) t^(k-1) = f_(d-1+t)(n) on
+triangles built from the depth-(d-1) weights: the row sums at t = 1 and
+the depth-one expansion at d = 1.
 
-check_output_size is the one output-size rule: it bounds the bit length of
-f_m(1..N), and so of every triangle entry c_m(n, k) <= f_m(n), before any
-work starts, and refuses a run whose output would be too large to print.
+entry_bits is the one output-size rule: it bounds the bit length of
+f_m(1..N), and so of every triangle entry c_m(n, k) <= f_m(n), and
+check_output_size adds a bound on all N entries; before any work starts,
+each refuses an output too large to print.
 """
 
 from __future__ import annotations
@@ -151,27 +153,39 @@ def iterate_invert(f0: ArithmeticFunction, m: int) -> ArithmeticFunction:
     return ArithmeticFunction(_series(p, d, len(f0)), label=f0.label)
 
 
-def check_output_size(n: int, m: int, top: int) -> int:
-    """Bit bound b on f_m(1..n) for a seed with max f_0(1..n) = top; refuses a
-    run whose output would be too large, before any work starts.
+def entry_bits(n: int, m: int, top: int) -> int:
+    """Bit bound b on f_m(1..n) for a seed with max f_0(1..n) = top.
 
     With T = max(1, top), f_m(n) <= T (1 + m T)^(n-1) by induction on the
     closed form, so b = bitlen(T) + (n-1) bitlen(m T + 1).  Every triangle
     entry c_m(n, k) is at most f_m(n), and each binomial weight of
     triangle_pascal is at most an entry of the all-ones seed's triangle,
-    which T >= 1 covers, so b bounds them too.  Raises
-    OutputSizeError when b exceeds MAX_ENTRY_BITS or n * b exceeds
-    MAX_OUTPUT_BITS; returns b otherwise.
+    which T >= 1 covers, so b bounds them too.  Raises OutputSizeError when
+    b exceeds MAX_ENTRY_BITS, the bound for one entry; returns b otherwise.
     """
     check_integer("n", n)
     check_integer("m", m)
     check_integer("top", top)
     top = max(top, 1)
     bits = top.bit_length() + (n - 1) * (m * top + 1).bit_length()
-    if bits > MAX_ENTRY_BITS or n * bits > MAX_OUTPUT_BITS:
-        raise OutputSizeError(
-            f"output-size bound exceeded: f_{m}(1..{n}) may need {bits} bits per entry, "
-            f"{n * bits} in all; the bound is {MAX_ENTRY_BITS} bits per entry and "
-            f"{MAX_OUTPUT_BITS} in all"
-        )
+    if bits > MAX_ENTRY_BITS:
+        raise _too_large(n, m, bits)
     return bits
+
+
+def check_output_size(n: int, m: int, top: int) -> int:
+    """entry_bits(n, m, top), once n entries of that many bits fit in
+    MAX_OUTPUT_BITS; refuses a run whose output would be too large, before
+    any work starts, with OutputSizeError."""
+    bits = entry_bits(n, m, top)
+    if n * bits > MAX_OUTPUT_BITS:
+        raise _too_large(n, m, bits)
+    return bits
+
+
+def _too_large(n: int, m: int, bits: int) -> OutputSizeError:
+    # one text for both bounds, so a refusal reads the same whichever fails
+    return OutputSizeError(
+        f"output-size bound exceeded: f_{m}(1..{n}) may need {bits} bits per entry, {n * bits} in all; "
+        f"the bound is {MAX_ENTRY_BITS} bits per entry and {MAX_OUTPUT_BITS} in all"
+    )

@@ -27,10 +27,10 @@ from .identities import (
     check_power_expansion,
     check_word_binomial,
 )
-from .pascal import LowerTriangularMatrix, mat_mul, mat_pow, pascal_lower, shifted_pascal_inverse
+from .pascal import mat_mul, mat_pow, pascal_lower, shifted_pascal_inverse
 from .records import Record, set_field
 from .sequences import ArithmeticFunction, Preset, iterate_invert, make_seed
-from .triangle import row_sum, triangle_recurrence
+from .triangle import triangle_recurrence
 from .words import DEFAULT_BUDGET, oracle_rows
 
 DEPTHS = range(1, 6)
@@ -82,41 +82,23 @@ def combine(*sweeps: Sweep) -> Sweep:
     )
 
 
-def row_sum_inputs(n_max: int) -> tuple[dict[Preset, LowerTriangularMatrix], dict]:
-    """Each preset's depth-1 triangle to order n_max, by the recurrence, and its
-    f_m to order n_max by (preset, m) for m in DEPTHS."""
-    bases = {p: triangle_recurrence(make_seed(p, n_max), 1, n_max) for p in Preset}
-    return bases, {(p, m): iterate_invert(make_seed(p, n_max), m) for p in Preset for m in DEPTHS}
-
-
 @_sweep
-def row_sums(n_max: int, inputs: tuple[dict, dict] | None = None):
-    """Row n of the depth-m triangle sums to f_m(n), for the presets, m <= 5, n <= n_max;
-    ``inputs``, when given, is row_sum_inputs(n_max)."""
-    bases, transforms = inputs or row_sum_inputs(n_max)
-    for preset in Preset:
-        f0 = make_seed(preset, n_max)
-        for m in DEPTHS:
-            tri = bases[preset] if m == 1 else triangle_recurrence(f0, m, n_max)
-            fm = transforms[preset, m]
-            for n in range(1, n_max + 1):
-                yield row_sum(tri, n) == fm(n) or (
-                    f"{preset.value} m={m} n={n}: row sum != transform"
-                )
+def weighted_row_sums(seeds: Sequence[ArithmeticFunction], n_max: int, pairs: Sequence[tuple[int, int]]):
+    """sum_k c_d(n, k) t^(k-1) = f_(d-1+t)(n) for each seed, each (d, t) in
+    ``pairs`` and n <= n_max.
 
-
-@_sweep
-def depth_one_expansion(n_max: int, inputs: tuple[dict, dict] | None = None):
-    """f_m(n) = sum_i m^(i-1) c_1(n, i), for the presets, m <= 5, n <= n_max;
-    ``inputs`` as in row_sums."""
-    bases, transforms = inputs or row_sum_inputs(n_max)
-    for preset, base in bases.items():
-        for m in DEPTHS:
-            fm = transforms[preset, m]
-            powers = [m**i for i in range(n_max)]
-            for n, row in enumerate(base.rows, start=1):
-                yield sum(map(mul, row, powers)) == fm(n) or (
-                    f"{preset.value} m={m} n={n}: depth-1 expansion != transform"
+    The slice t = 1 is the row sums, and d = 1 the depth-one expansion
+    f_t(n) = sum_i t^(i-1) c_1(n, i).  Per seed, each distinct depth's triangle
+    and each distinct transform is computed once, and a pair listed twice is
+    compared twice."""
+    for seed in seeds:
+        triangles = {d: triangle_recurrence(seed, d, n_max) for d in dict.fromkeys(d for d, _ in pairs)}
+        transforms = {j: iterate_invert(seed, j) for j in dict.fromkeys(d - 1 + t for d, t in pairs)}
+        for d, t in pairs:
+            powers = [t**i for i in range(n_max)]
+            for n, row in enumerate(triangles[d].rows, start=1):
+                yield sum(map(mul, row, powers)) == transforms[d - 1 + t](n) or (
+                    f"{seed.label or list(seed.values)} d={d} t={t} n={n}: weighted row sum != transform"
                 )
 
 
@@ -226,12 +208,13 @@ def suites(cap: int | None = None, budget: int = DEFAULT_BUDGET) -> dict[str, Ca
     def bound(default: int) -> int:
         return default if cap is None else cap
 
-    def row_sums_suite() -> Sweep:
-        inputs = row_sum_inputs(bound(30))
-        return combine(row_sums(bound(30), inputs), depth_one_expansion(bound(30), inputs))
-
     return {
-        "row-sums": row_sums_suite,
+        # the row sums at m <= 5 and the depth-one expansion at t <= 5, each with (1, 1)
+        "row-sums": lambda: weighted_row_sums(
+            [make_seed(p, bound(30)) for p in Preset],
+            bound(30),
+            [(m, 1) for m in DEPTHS] + [(1, t) for t in DEPTHS],
+        ),
         "binomial": lambda: binomial_identities(bound(20), min(bound(20), 18)),
         "bell": lambda: bell_identity([make_seed(p, bound(10)) for p in Preset], bound(10)),
         "pascal": lambda: pascal_relations(bound(16), min(bound(16), 12), [min(bound(20), 20)]),

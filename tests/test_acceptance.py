@@ -56,13 +56,15 @@ def test_criterion_01_four_way_agreement(capsys):
 
 def test_criterion_02_row_sums(capsys):
     t0 = time.perf_counter()
-    result = verify.row_sums(30)
+    seeds = [make_seed(p, 30) for p in PRESETS]
+    result = verify.weighted_row_sums(seeds, 30, [(m, 1) for m in verify.DEPTHS])
     _verdict(capsys, 2, "row sums equal the transform (presets, m<=5, n<=30)", result.failures, result.checks, t0)
 
 
 def test_criterion_03_depth_one_expansion(capsys):
     t0 = time.perf_counter()
-    result = verify.depth_one_expansion(45)
+    seeds = [make_seed(p, 45) for p in PRESETS]
+    result = verify.weighted_row_sums(seeds, 45, [(1, t) for t in verify.DEPTHS])
     _verdict(capsys, 3, "f_m(n) = sum_i m^(i-1) c_1(n,i) (presets, m<=5, n<=45)", result.failures, result.checks, t0)
 
 

@@ -1,13 +1,15 @@
 """The public names and the functions the benchmark tracer patches exist,
 the tracer sees every triangle route, the README's library session runs and
 its list of record types is whole, no module keeps an unused import or an
-unused private name or imports another's, and no public name is used by the
-unit tests alone."""
+unused private name or imports another's, no public name is used by the
+unit tests alone, and the triangle routes share only what the pinned
+sharing map allows."""
 
 import ast
 import doctest
 import importlib
 import importlib.util
+import itertools
 import re
 from pathlib import Path
 
@@ -171,3 +173,67 @@ def test_every_export_is_used_outside_the_unit_tests():
     named = set(re.findall(r"\w+", text))
     public = {name for tree in trees.values() for _, name in _module_names(tree) if not name.startswith("_")}
     assert sorted((public | set(comptri.__all__)) - loaded - named) == []
+
+
+# what any two routes may share: the seed, the invert transform, and the
+# plumbing of errors, records and the table type; a module name allows all of it
+SHARED_BY_RULE = {
+    "triangle._prefix", "sequences.ArithmeticFunction", "sequences._series",
+    "sequences.check_output_size", "sequences.entry_bits", "sequences._too_large",
+    "sequences.iterate_invert", "triangle._weights",
+    "errors", "records", "pascal.LowerTriangularMatrix",
+}
+# what two routes share beyond the rule: triangle_pascal takes its depth-1
+# base from triangle_recurrence
+SHARED_BY_EXCEPTION = {
+    ("recurrence", "pascal"): ["triangle._rows_from_weights", "triangle.triangle_recurrence"],
+}
+
+
+def _reachable_definitions():
+    """For each route in ROUTES, the module-level functions and classes of the
+    package it can reach, as "module.name", itself included.
+
+    A name in a reached body resolves through its module's definitions and its
+    ``from .x import y`` imports; a class counts as its whole body.  The scan
+    cannot see a call made through a dict, ``getattr`` or a method of an
+    object whose class it has not reached.
+    """
+    defined, imported = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[module, node.name] = node
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    imported[module, alias.asname or alias.name] = (node.module, alias.name)
+
+    def reach(start):
+        seen, todo = set(), [start]
+        while todo:
+            key = todo.pop()
+            while key in imported:
+                key = imported[key]
+            if key in defined and key not in seen:
+                seen.add(key)
+                names = {n.id for n in ast.walk(defined[key]) if isinstance(n, ast.Name)}
+                todo += [(key[0], name) for name in names]
+        return {f"{module}.{name}" for module, name in seen}
+
+    return {route: reach(("triangle", build.__name__)) for route, build in triangle.ROUTES.items()}
+
+
+def test_the_routes_share_only_the_seed_and_the_invert_transform():
+    reached = _reachable_definitions()
+    shared = {}
+    for a, b in itertools.combinations(reached, 2):
+        beyond = sorted(
+            name for name in reached[a] & reached[b]
+            if name not in SHARED_BY_RULE and name.split(".")[0] not in SHARED_BY_RULE
+        )
+        if beyond:
+            shared[a, b] = beyond
+    assert shared == SHARED_BY_EXCEPTION
+    # the convolution route reads f_0 alone, never the transform
+    assert not {"sequences.iterate_invert", "triangle._weights"} & reached["conv"]

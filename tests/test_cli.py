@@ -14,7 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import comptri
-from comptri import LowerTriangularMatrix, Preset, cli, triangle_pascal, verify
+from comptri import (
+    LowerTriangularMatrix,
+    Preset,
+    cli,
+    make_seed,
+    shifted_pascal_inverse,
+    triangle_pascal,
+    triangle_recurrence,
+    verify,
+)
 from comptri.cli import main
 from comptri.errors import InternalConsistencyError
 from comptri.triangle import ROUTES
@@ -290,7 +299,7 @@ def flood(*args):
     # distinct strings, since pickle writes a repeated object once
     return verify.Sweep("flood", 2000, tuple(f"{i:0100}" for i in range(2000)), 0.0)
 triangle.ROUTES["recurrence"] = fail
-verify.row_sums = fail
+verify.weighted_row_sums = fail
 for name in sys.argv[3:]:
     setattr(verify, name, flood)
 cli._usable_cpus = lambda: 2
@@ -811,7 +820,7 @@ def test_verify_stops_at_the_word_budget(capsys, monkeypatch, path):
 
 # the sweep each suite runs first, by its name in comptri.verify
 SUITE_SWEEPS = {
-    "row-sums": "row_sums",
+    "row-sums": "weighted_row_sums",
     "binomial": "binomial_identities",
     "bell": "bell_identity",
     "pascal": "pascal_relations",
@@ -902,6 +911,50 @@ def test_verify_reports_failures(capsys, monkeypatch):
         "chebyshev: 9 checks, 2 failures\nFAIL: 9 checks, 2 failures\n",
         "  chebyshev: Chebyshev coefficient check fails at n=2 k=1\n"
         "  chebyshev: Chebyshev coefficient check fails at n=2 k=2\n",
+    )
+
+
+def fib_depth_4_off_by_one(f0, m, order):
+    """verify's triangle_recurrence, with c(order, 1) one too high for fib at m = 4."""
+    tri = triangle_recurrence(f0, m, order)
+    if (f0.label, m) != ("fib", 4):
+        return tri
+    return LowerTriangularMatrix(tri.rows[:-1] + ((tri.rows[-1][0] + 1,) + tri.rows[-1][1:],))
+
+
+# one fault per failure text of the binomial, bell and pascal suites, planted
+# on a name of comptri.verify: suite, name, fault, checks at --max 6, failures
+PLANTED_FAULTS = {
+    "power-expansion": (
+        "binomial", "check_power_expansion", lambda m, n, k: (m, n, k) != (3, 4, 2), 105,
+        ["power expansion fails at m=3 n=4 k=2"],
+    ),
+    "bell-identity": (
+        "bell", "bell_invert_identity_check", lambda values, n: values != make_seed("fib", n).values, 6,
+        ["Bell identity fails for fib"],
+    ),
+    "pascal-step": (
+        "pascal", "triangle_recurrence", fib_depth_4_off_by_one, 54,
+        ["fib: step relation fails at m=4", "fib: power relation fails at m=4"],
+    ),
+    # Q Q is not the identity, so both orders of the product fail
+    "shifted-inverse": (
+        "pascal", "shifted_pascal_inverse",
+        lambda n: (shifted_pascal_inverse(n)[0],) * 2 if n == 2 else shifted_pascal_inverse(n), 54,
+        ["shifted Pascal inverse fails on the right at order 2",
+         "shifted Pascal inverse fails on the left at order 2"],
+    ),
+}
+
+
+@pytest.mark.parametrize(("suite", "name", "fault", "checks", "failures"), PLANTED_FAULTS.values(), ids=PLANTED_FAULTS)
+def test_verify_reports_each_planted_failure(capsys, monkeypatch, suite, name, fault, checks, failures):
+    monkeypatch.setattr(verify, name, fault)
+    counts = f"{checks} checks, {len(failures)} failures"
+    assert run(capsys, "verify", "--suite", suite, "--max", "6") == (
+        1,
+        f"{suite}: {counts}\nFAIL: {counts}\n",
+        "".join(f"  {suite}: {line}\n" for line in failures),
     )
 
 

@@ -27,6 +27,7 @@ from comptri import (
     row_sum,
     triangle_recurrence,
 )
+from comptri.sequences import entry_bits
 
 
 # one row per guard: call, exception type, message
@@ -95,6 +96,9 @@ GUARDS = {
     ),
     "check_output_size-float-n": (
         lambda: check_output_size(3.0, 1, 1), ValueError, "n must be an integer, got 3.0"
+    ),
+    "entry_bits-bool-m": (
+        lambda: entry_bits(3, True, 1), ValueError, "m must be an integer, got True"
     ),
     "check_output_size-float-top": (
         lambda: check_output_size(3, 1, 1.5), ValueError, "top must be an integer, got 1.5"

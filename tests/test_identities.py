@@ -145,6 +145,15 @@ def test_closed_form_refuses_an_unprintable_entry_before_any_sum():
         closed_form("natural", 1, 1500, 1)
 
 
+def test_closed_form_bounds_one_entry_not_a_whole_prefix():
+    # ones at m = 1 bounds c(n, 1) = 1 by 2n - 1 bits, the per-entry bound
+    # alone: n = 2897 passes, though 2897 such entries exceed MAX_OUTPUT_BITS
+    assert closed_form("ones", 1, 2897, 1) == 1
+    assert closed_form("ones", 1, 6000, 1) == 1  # 11 999 bits
+    with pytest.raises(OutputSizeError, match="12001 bits per entry"):
+        closed_form("ones", 1, 6001, 1)
+
+
 def full_range_form(preset, m, n, k):
     """closed_form summed over the index ranges it used before each sum was cut
     to its support, so the terms outside it vanish only by binom's zeros."""

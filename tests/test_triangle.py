@@ -237,16 +237,6 @@ def test_diagonal_and_first_column(preset):
             assert tri.entry(n, 1) == w(n)
 
 
-@pytest.mark.parametrize("preset", PRESETS)
-def test_row_sums_equal_transform(preset):
-    f0 = make_seed(preset, 16)
-    for m in range(1, 5):
-        tri = triangle_recurrence(f0, m, 16)
-        fm = iterate_invert(f0, m)
-        for n in range(1, 17):
-            assert row_sum(tri, n) == fm(n)
-
-
 def test_ones_triangle_is_binomial():
     tri = triangle_recurrence(make_seed("ones", 12), 1, 12)
     for n in range(1, 13):

@@ -1,6 +1,11 @@
-"""Identity sweeps that compute a value once still compare it wherever it is used."""
+"""Identity sweeps that compute a value once still compare it wherever it is
+used, and the weighted row sums hold for custom seeds and catch what the row
+sums alone miss."""
 
-from comptri import ArithmeticFunction, Preset, pascal_lower, verify
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from comptri import ArithmeticFunction, LowerTriangularMatrix, Preset, make_seed, pascal_lower, verify
 
 
 def test_pascal_power_computed_once_is_compared_for_every_preset(monkeypatch):
@@ -21,23 +26,71 @@ def test_pascal_power_computed_once_is_compared_for_every_preset(monkeypatch):
 
 
 def test_a_transform_computed_once_is_compared_by_both_row_sum_sweeps(monkeypatch):
-    # f_2 of ones one too high at n = 3 fails row 3 in both sweeps of the
-    # suite, which computes each of the 30 (preset, m) transforms once
-    iterate_invert = verify.iterate_invert
-    calls = []
+    # f_2 of ones one too high at n = 3 fails row 3 in both slices that read
+    # it, (m, t) = (2, 1) and (1, 2); the suite builds each of the 30
+    # (preset, m) triangles and transforms once
+    iterate_invert, triangle_recurrence = verify.iterate_invert, verify.triangle_recurrence
+    transforms, triangles = [], []
 
     def off_by_one(f0, m):
-        calls.append((f0.label, m))
+        transforms.append((f0.label, m))
         fm = iterate_invert(f0, m)
         if (f0.label, m) == ("ones", 2):
             return ArithmeticFunction(fm.values[:2] + (fm.values[2] + 1,) + fm.values[3:])
         return fm
 
+    def counted(f0, m, order):
+        triangles.append((f0.label, m))
+        return triangle_recurrence(f0, m, order)
+
     monkeypatch.setattr(verify, "iterate_invert", off_by_one)
+    monkeypatch.setattr(verify, "triangle_recurrence", counted)
     result = verify.suites()["row-sums"]()
-    assert sorted(calls) == sorted((preset.value, m) for preset in Preset for m in verify.DEPTHS)
+    expected = sorted((preset.value, m) for preset in Preset for m in verify.DEPTHS)
+    assert sorted(transforms) == sorted(triangles) == expected
     assert result.checks == 1800
     assert result.failures == (
-        "ones m=2 n=3: row sum != transform",
-        "ones m=2 n=3: depth-1 expansion != transform",
+        "ones d=2 t=1 n=3: weighted row sum != transform",
+        "ones d=1 t=2 n=3: weighted row sum != transform",
+    )
+
+
+# custom seeds f_0(1..N), N <= 16: digits or 64-bit entries, f(1) may be 0,
+# and some seeds are all zeros after their first few terms
+ENTRIES = st.integers(0, 9) | st.integers(2**63, 2**64 - 1)
+CUSTOM_SEEDS = (
+    st.lists(ENTRIES, min_size=1, max_size=16)
+    | st.builds(lambda head, zeros: head + [0] * zeros,
+                st.lists(ENTRIES, min_size=1, max_size=3), st.integers(0, 13))
+).map(lambda values: ArithmeticFunction(tuple(values), "custom"))
+
+
+def full_range(order, depths):
+    """Every (d, t) with t = 0..order-1, whose order values of t fix each row up to ``order``."""
+    return [(d, t) for d in depths for t in range(order)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(CUSTOM_SEEDS)
+def test_weighted_row_sums_hold_over_the_full_range_for_custom_seeds(seed):
+    result = verify.weighted_row_sums([seed], len(seed), full_range(len(seed), range(1, 5)))
+    assert result.checks == 4 * len(seed) ** 2
+    assert result.failures == ()
+
+
+def test_a_swap_that_keeps_the_row_sum_fails_only_off_t_1(monkeypatch):
+    # c(3, 1) and c(3, 2) of ones swapped: row 3 still sums to f_1(3), but
+    # each t != 1 weighs the two columns differently
+    triangle_recurrence = verify.triangle_recurrence
+
+    def swapped(f0, m, order):
+        rows = [list(row) for row in triangle_recurrence(f0, m, order).rows]
+        rows[2][0], rows[2][1] = rows[2][1], rows[2][0]
+        return LowerTriangularMatrix(rows)
+
+    monkeypatch.setattr(verify, "triangle_recurrence", swapped)
+    seeds = [make_seed("ones", 6)]
+    assert verify.weighted_row_sums(seeds, 6, [(1, 1)]).failures == ()
+    assert verify.weighted_row_sums(seeds, 6, full_range(6, [1])).failures == tuple(
+        f"ones d=1 t={t} n=3: weighted row sum != transform" for t in (0, 2, 3, 4, 5)
     )
