@@ -10,12 +10,12 @@ if ``triangle.disagreements`` finds no entry where the routes differ.
 ``triangle --algo all`` and ``verify`` with no --suite hand the routes of
 one split in _CHILD_ROUTES, or the suites in _CHILD_SUITES, to a child made
 by os.fork when os.fork exists and more than one CPU is usable (the affinity
-mask, else os.cpu_count()); otherwise this process does all the work.  The
-triangle's split is chosen by sequences.check_output_size, and this process
-always builds and formats the printed recurrence.  A fork costs about
-1.7 ms, so a triangle at N=64 takes about as long as the slower side, the
-formatting counted on this one.  The output, the exit code and the reported
-failure are those of an in-process run.
+mask, else os.cpu_count()); otherwise, or if the fork fails, this process
+does all the work.  The triangle's split reads the weights' bit bound, and
+this process always builds and formats the printed recurrence.  A fork costs
+about 1.7 ms, so a triangle at N=64 takes about as long as the slower side,
+the formatting counted on this one.  The output, the exit code and the
+reported failure are those of an in-process run.
 
 Startup imports only what every command needs.  ``json`` is imported by the
 ``--format json`` branches, ``pickle`` by the commands that fork, and numpy
@@ -45,14 +45,14 @@ BUDGET_CAP = 1 << 30  # under half a minute at about 5e7 words/s
 
 # `triangle --algo all` builds one split's routes in a forked child while this
 # process builds and formats the others, the printed recurrence among them.  On
-# narrow entries every route costs about the same, so bell stays here; on wide
-# ones bell's and the recurrence's products by the weights dominate, so bell
-# joins the child.  The split is wide when check_output_size's bit bound on the
-# entries exceeds _WIDE_BITS: forked `--algo all` at N=64 and m >= 2 on custom
-# seeds of b-bit values crossed over between bounds of 1406 and 1599 (b = 20
-# and 24; medians of 25 calls a side on 2 vCPUs, BENCH_width_split.json)
+# narrow weights every route costs about the same, so bell stays here; on wide
+# ones bell's and the recurrence's products by them dominate, so bell joins the
+# child.  The split is wide when check_output_size's bound on the weights f_(m-1)
+# exceeds _WIDE_BITS: at N=64 and m >= 2, b-bit custom seeds crossed over between
+# bounds of 1343 and 1536 (b = 20 and 24), and at m = 1, whose bound is at most
+# 127 bits, narrow was faster in 14 of 18 readings (BENCH_width_split.json)
 _CHILD_ROUTES = {"narrow": ("conv", "pascal"), "wide": ("conv", "bell", "pascal")}
-_WIDE_BITS = 1536
+_WIDE_BITS = 1440
 # `verify` with no --suite runs these suites in a forked child while it runs the
 # others, word counting (and numpy) among them: 14.7 ms against 14.6 ms at default
 # bounds (the sums of each suite's best of 15 on 2 vCPUs); no other split is shorter
@@ -159,8 +159,9 @@ def _run_jobs(names, jobs) -> dict:
     return done
 
 
-def _run_forked(child, own, jobs) -> dict:
-    """_run_jobs of both lists: ``child`` in a forked child, ``own`` here.
+def _run_forked(names, child, jobs) -> dict:
+    """_run_jobs of ``child`` in a forked child and of the other names here,
+    or _run_jobs(names, jobs) if os.fork fails.
 
     The child sends its result back through a pipe, writes nothing else and
     leaves only by os._exit.
@@ -170,10 +171,10 @@ def _run_forked(child, own, jobs) -> dict:
     read, write = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: run the child's share here as well
+    except OSError:
         os.close(read)
         os.close(write)
-        return {**_run_jobs(own, jobs), **_run_jobs(child, jobs)}
+        return _run_jobs(names, jobs)
     if pid == 0:
         code = 1
         try:
@@ -190,7 +191,7 @@ def _run_forked(child, own, jobs) -> dict:
     os.close(write)
     stream = os.fdopen(read, "rb")
     try:
-        done = _run_jobs(own, jobs)
+        done = _run_jobs([name for name in names if name not in child], jobs)
         try:
             done.update(pickle.load(stream))
         except (EOFError, pickle.UnpicklingError):
@@ -208,14 +209,13 @@ def _run_in_order(names, child_names, jobs):
 
     With os.fork and more than one usable CPU, a forked child runs the names
     in ``child_names`` while this process runs the rest, when both sides have
-    some; otherwise this process runs them all.  Each side stops at its own
-    first failure, so the first failure in ``names`` order is the one an
-    in-process run would raise.
+    some; otherwise, or if the fork fails, this process runs them all in
+    order.  Each side stops at its own first failure, so the first failure
+    in ``names`` order is the one an in-process run would raise.
     """
     forked = hasattr(os, "fork") and _usable_cpus() > 1
     child = [name for name in names if forked and name in child_names]
-    own = [name for name in names if name not in child]
-    done = _run_forked(child, own, jobs) if child and own else _run_jobs(names, jobs)
+    done = _run_forked(names, child, jobs) if 0 < len(child) < len(names) else _run_jobs(names, jobs)
     for name in names:
         # a side that stopped early stopped at an earlier name, which raises first
         if isinstance(done[name], Exception):
@@ -224,9 +224,9 @@ def _run_in_order(names, child_names, jobs):
 
 
 def _child_routes(seed: ArithmeticFunction, m: int, n: int) -> tuple[str, ...]:
-    """_CHILD_ROUTES of the split that the bit bound of the depth-m triangle picks."""
+    """_CHILD_ROUTES of the split that the bit bound of the depth-m weights picks."""
     try:
-        wide = check_output_size(n, m, max(seed.values)) > _WIDE_BITS
+        wide = check_output_size(n, m - 1, max(seed.values)) > _WIDE_BITS
     except OutputSizeError:  # every route refuses it, each after its own checks
         wide = False
     return _CHILD_ROUTES["wide" if wide else "narrow"]

@@ -14,8 +14,8 @@ from __future__ import annotations
 import functools
 from math import comb
 
-from .errors import check_integer
-from .sequences import Preset, entry_bits, make_seed
+from .errors import OutputSizeError, check_integer
+from .sequences import MAX_ENTRY_BITS, Preset, entry_bits, make_seed
 from .triangle import triangle_recurrence
 
 PolynomialZ = tuple[int, ...]
@@ -60,8 +60,12 @@ def closed_form(preset: Preset | str, m: int, n: int, k: int) -> int:
         raise ValueError("need 1 <= k <= n")
     # c(n, k) <= f_m(n), so refuse an entry that could not be printed; top 1
     # first, so that the seed is built only for an n that can pass
-    entry_bits(n, m, 1)
-    entry_bits(n, m, max(make_seed(preset, n).values))
+    bits = entry_bits(n, m, 1)
+    if bits <= MAX_ENTRY_BITS:
+        bits = entry_bits(n, m, max(make_seed(preset, n).values))
+    if bits > MAX_ENTRY_BITS:
+        raise OutputSizeError(f"output-size bound exceeded: c_{m}({n}, {k}) may need {bits} bits; "
+                              f"the bound is {MAX_ENTRY_BITS} bits per entry")
     return _form(preset, m, n, k)
 
 

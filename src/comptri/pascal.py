@@ -46,6 +46,8 @@ class LowerTriangularMatrix(Record):
 
     def entry(self, i: int, j: int) -> int:
         """1-based entry (i, j); zero above the diagonal."""
+        check_integer("i", i)
+        check_integer("j", j)
         if not (1 <= i <= self.order and 1 <= j <= self.order):
             raise IndexError(f"({i}, {j}) is outside order {self.order}")
         return self.rows[i - 1][j - 1] if j <= i else 0
@@ -101,6 +103,7 @@ def shifted_pascal_inverse(order: int) -> tuple[LowerTriangularMatrix, LowerTria
     The inverse has entries (-1)^(i+j) C(i, j); the pair multiplies to the
     identity in both orders.
     """
+    check_integer("order", order)
     q = LowerTriangularMatrix(
         tuple(tuple(comb(i, j) for j in range(1, i + 1)) for i in range(1, order + 1))
     )

@@ -27,9 +27,9 @@ triangles built from the depth-(d-1) weights: the row sums at t = 1 and
 the depth-one expansion at d = 1.
 
 entry_bits is the one output-size rule: it bounds the bit length of
-f_m(1..N), and so of every triangle entry c_m(n, k) <= f_m(n), and
-check_output_size adds a bound on all N entries; before any work starts,
-each refuses an output too large to print.
+f_m(1..N), and so of every triangle entry c_m(n, k) <= f_m(n).
+check_output_size refuses a run whose entries, or all N of them, it puts
+past MAX_ENTRY_BITS or MAX_OUTPUT_BITS, before any work starts.
 """
 
 from __future__ import annotations
@@ -111,6 +111,7 @@ class ArithmeticFunction(Record):
         return len(self.values)
 
     def __call__(self, n: int) -> int:
+        check_integer("n", n)
         if not 1 <= n <= len(self.values):
             raise IndexError(f"f({n}) is outside the stored prefix 1..{len(self.values)}")
         return self.values[n - 1]
@@ -160,32 +161,25 @@ def entry_bits(n: int, m: int, top: int) -> int:
     closed form, so b = bitlen(T) + (n-1) bitlen(m T + 1).  Every triangle
     entry c_m(n, k) is at most f_m(n), and each binomial weight of
     triangle_pascal is at most an entry of the all-ones seed's triangle,
-    which T >= 1 covers, so b bounds them too.  Raises OutputSizeError when
-    b exceeds MAX_ENTRY_BITS, the bound for one entry; returns b otherwise.
+    which T >= 1 covers, so b bounds them too.  It refuses nothing: a
+    caller compares b with MAX_ENTRY_BITS, the bound for one entry.
     """
     check_integer("n", n)
     check_integer("m", m)
     check_integer("top", top)
     top = max(top, 1)
-    bits = top.bit_length() + (n - 1) * (m * top + 1).bit_length()
-    if bits > MAX_ENTRY_BITS:
-        raise _too_large(n, m, bits)
-    return bits
+    return top.bit_length() + (n - 1) * (m * top + 1).bit_length()
 
 
 def check_output_size(n: int, m: int, top: int) -> int:
-    """entry_bits(n, m, top), once n entries of that many bits fit in
-    MAX_OUTPUT_BITS; refuses a run whose output would be too large, before
-    any work starts, with OutputSizeError."""
+    """entry_bits(n, m, top), once an entry of that many bits fits in
+    MAX_ENTRY_BITS and n of them in MAX_OUTPUT_BITS; refuses a run whose
+    output would be too large, before any work starts, with OutputSizeError
+    (one text for both bounds, so a refusal reads the same whichever fails)."""
     bits = entry_bits(n, m, top)
-    if n * bits > MAX_OUTPUT_BITS:
-        raise _too_large(n, m, bits)
+    if bits > MAX_ENTRY_BITS or n * bits > MAX_OUTPUT_BITS:
+        raise OutputSizeError(
+            f"output-size bound exceeded: f_{m}(1..{n}) may need {bits} bits per entry, {n * bits} in all; "
+            f"the bound is {MAX_ENTRY_BITS} bits per entry and {MAX_OUTPUT_BITS} in all"
+        )
     return bits
-
-
-def _too_large(n: int, m: int, bits: int) -> OutputSizeError:
-    # one text for both bounds, so a refusal reads the same whichever fails
-    return OutputSizeError(
-        f"output-size bound exceeded: f_{m}(1..{n}) may need {bits} bits per entry, {n * bits} in all; "
-        f"the bound is {MAX_ENTRY_BITS} bits per entry and {MAX_OUTPUT_BITS} in all"
-    )

@@ -37,9 +37,9 @@ All four read the same seed.  The recurrence and Bell routes compute w
 with iterate_invert.  The convolution route never computes w and uses only
 the transform's closed form above, so at m >= 2 its sums differ from the
 recurrence's; at m = 1 the (m-1) term drops out and it is the recurrence's
-sum in another loop order.  triangle_pascal never applies the transform,
-but takes its depth-1 base c_1 from triangle_recurrence at every m, and at
-m = 1 returns that base, so there only three routes are independent.
+sum in another loop order.  triangle_pascal never applies the transform: its
+depth-1 base c_1 is the recurrence's first-part sums over f_0, and at m = 1
+it returns that base, so there only three routes are independent.
 Agreement across the routes is still a strong consistency check.  The
 recurrence and the convolution both need c(0, 0) = 1 and c(n, 0) = 0 for
 n >= 1; each keeps its own column 0 while it fills the rows, so that
@@ -155,14 +155,10 @@ def triangle_bell(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangular
 
 
 def triangle_pascal(f0: ArithmeticFunction, m: int, order: int) -> LowerTriangularMatrix:
-    """Build the depth-m triangle as c_1 L^(m-1), from the depth-1 triangle.
-
-    At m = 1 the Pascal power is the identity, so it returns triangle_recurrence's
-    triangle at half the cost; it is not an independent route there."""
-    if m == 1:
-        return triangle_recurrence(f0, m, order)
-    base = triangle_recurrence(_prefix(f0, m, order), 1, order)
-    return mat_mul(base, pascal_lower(order, m - 1))
+    """Build the depth-m triangle as c_1 L^(m-1), c_1 being the first-part sums
+    at w = f_0, the recurrence's own triangle at m = 1."""
+    base = LowerTriangularMatrix(_rows_from_weights(_prefix(f0, m, order).values, order))
+    return base if m == 1 else mat_mul(base, pascal_lower(order, m - 1))
 
 
 # a module-level plain dict, whose values a tracer that wraps module

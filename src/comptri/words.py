@@ -12,7 +12,7 @@ each restriction reads: none for NONE, those of 0 and 1 for AVOID_01, and
 that of 0 for the others.  A word carries only those planes through the
 enumeration.  ``check`` is the readable spec; enumeration tests each word's
 planes with a few whole-array uint ops, on the narrowest unsigned type that
-holds bit L (the NO_ODD_ZERO_RUNS carry), so short words move few bytes.
+holds bit L, the NO_ODD_ZERO_RUNS carry, of the call's longest L in budget.
 
 The last letters of every word are grown letter by letter, with the rows
 grouped by mark count: group j, the words with j marked letters, is one run
@@ -197,12 +197,15 @@ class WordModel(Record):
         set_field(self, "marked_count", marked_count)
 
 
+def _fits(alphabet: int, length: int, budget: int) -> bool:
+    # alphabet**length >= 2**((bits - 1) * length), which exceeds the budget
+    # from its bit length on, so a large space is refused before its power is formed
+    return (alphabet.bit_length() - 1) * length < budget.bit_length() and alphabet**length <= budget
+
+
 def _check_budget(alphabet: int, length: int, budget: int) -> None:
     check_integer("budget", budget)
-    # alphabet**length >= 2**((bits - 1) * length), which exceeds the budget
-    # from its bit length on, so a large space is refused before its power is
-    # formed; the message never expands it
-    if (alphabet.bit_length() - 1) * length >= budget.bit_length() or alphabet**length > budget:
+    if not _fits(alphabet, length, budget):  # the message never expands the power
         raise EnumerationBudgetError(f"{alphabet}**{length} words exceeds the budget {budget}")
 
 
@@ -345,23 +348,20 @@ def _histograms(alphabet: int, lengths: list[int], restriction: Restriction, mar
     # a suffix block holds at most _CHUNK mask words, a word without planes
     # counted as one, so every restriction's blocks have one bound in bytes
     block_words = _CHUNK // max(len(reads), 1)
+    # masks hold bit L of the longest L within the budget, the NO_ODD_ZERO_RUNS
+    # carry, in the narrowest unsigned type that holds it (uint8 below 8 letters
+    # up to uint64 below 64); past 63 bits they are Python ints, which cannot wrap
+    dtype = np.min_scalar_type(1 << max((n for n in lengths if _fits(alphabet, n, budget)), default=0))
     # the grouped rows of the last ``grown`` letters of every word
     rows, grown = None, 0
     for length in lengths:
         _check_budget(alphabet, length, budget)
-        # the masks also hold bit length, for the carry of the NO_ODD_ZERO_RUNS
-        # test, in the narrowest unsigned type that holds it: uint8 below 8
-        # letters, uint16 below 16, uint32 below 32 and uint64 below 64.  Past
-        # 63 bits they are Python ints, so they cannot wrap.
-        dtype = np.min_scalar_type(1 << length)
         if alphabet == 1:
             # the one word, 0**length, is one mask per plane; growing it letter
             # by letter would copy its group once per letter
             planes = [np.array([(1 << length) - 1 if letter == 0 else 0], dtype) for letter in reads]
             yield (0,) * length + (int(_passes(planes, 1, length, restriction)[0]),)
             continue
-        if rows is not None and rows[0].dtype != dtype:
-            rows = rows[0].astype(dtype), rows[1]
         if alphabet**length <= _TILE:
             # a space within one tile is the grown rows, tested whole
             rows = _grouped_rows(range(grown, length), alphabet, marked_letter, reads, dtype, rows)

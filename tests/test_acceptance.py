@@ -3,18 +3,26 @@
 Every comparison is exact integer equality.  Verdict lines bypass pytest's
 output capture so they are always visible; each line reports the criterion
 number, PASS or FAIL, the sweep, the number of comparisons, and the elapsed
-time.
+time.  The last test plants one fault per criterion and checks that the
+verdict fails and names the first failure.
 """
 
+import contextlib
 import itertools
+import math
 import random
 import time
 
+import pytest
+
 from comptri import (
     ArithmeticFunction,
+    LowerTriangularMatrix,
     Restriction,
+    bell,
     check,
     composition_to_word,
+    identities,
     make_seed,
     oracle_model,
     oracle_rows,
@@ -156,3 +164,100 @@ def test_criterion_10_bijection(capsys):
         if tt_words != {w for w in space if check(w, Restriction.ZERO_FRAMED_BOUNDED)}:
             failures.append(f"two_three image n={n}")
     _verdict(capsys, 10, "composition bijection round-trips and image sets (n<=12)", failures, checks, t0)
+
+
+class _QuietCapsys:
+    """A capsys whose disabled() keeps capture on, so a planted FAIL line is not shown."""
+
+    disabled = staticmethod(contextlib.nullcontext)
+
+
+def _plus_one(build, n, k):
+    """The triangle builder ``build`` with c(n, k) one too high."""
+
+    def faulty(f0, m, order):
+        rows = [list(row) for row in build(f0, m, order).rows]
+        rows[n - 1][k - 1] += 1
+        return LowerTriangularMatrix(rows)
+
+    return faulty
+
+
+def _swapped_at_depth_one(build):
+    """``build`` with c_1(4, 1) and c_1(4, 2) swapped, which keeps every row sum."""
+
+    def faulty(f0, m, order):
+        rows = [list(row) for row in build(f0, m, order).rows]
+        if m == 1:
+            rows[3][0], rows[3][1] = rows[3][1], rows[3][0]
+        return LowerTriangularMatrix(rows)
+
+    return faulty
+
+
+def _engine_rows_as_word_counts(preset, m, ns, budget):
+    """The engine's rows in place of the word counts, c(3, 2) one too high; no word is enumerated."""
+    for n in ns:
+        row = triangle_recurrence(make_seed(preset, n), m, n).rows[-1]
+        yield tuple(c + ((n, k) == (3, 2)) for k, c in enumerate(row, start=1))
+
+
+def _plant(monkeypatch, num):
+    """Plant criterion ``num``'s fault, each on a name the criterion reaches."""
+    if num == 1:
+        monkeypatch.setitem(ROUTES, "bell", _plus_one(ROUTES["bell"], 3, 2))
+    elif num == 2:
+        transform = verify.iterate_invert
+        monkeypatch.setattr(verify, "iterate_invert", lambda f, j: ArithmeticFunction(
+            tuple(v + (n == 5) for n, v in enumerate(transform(f, j).values, start=1))
+        ))
+    elif num == 3:
+        monkeypatch.setattr(verify, "triangle_recurrence", _swapped_at_depth_one(verify.triangle_recurrence))
+    elif num == 4:
+        monkeypatch.setitem(globals(), "oracle_rows", _engine_rows_as_word_counts)
+    elif num == 5:
+        monkeypatch.setattr(identities, "triangle_recurrence", _plus_one(identities.triangle_recurrence, 2, 1))
+    elif num == 6:
+        monkeypatch.setattr(identities, "comb", lambda n, k: math.comb(n, k) + ((n, k) == (4, 2)))
+    elif num == 7:
+        transform = bell.invert_transform
+        monkeypatch.setattr(bell, "invert_transform", lambda f: ArithmeticFunction(
+            transform(f).values[:-1] + (transform(f).values[-1] + 1,)
+        ))
+    elif num == 8:
+        power = verify.mat_pow
+        monkeypatch.setattr(verify, "mat_pow", lambda a, e: power(a, 2 if e == 3 else e))
+    elif num == 9:
+        words = verify.oracle_rows
+        monkeypatch.setattr(verify, "oracle_rows", lambda *args: (
+            row if n != 3 else (row[0] + 1, *row[1:]) for n, row in enumerate(words(*args), start=1)
+        ))
+    else:
+        decode = word_to_composition
+        monkeypatch.setitem(globals(), "word_to_composition", lambda word: decode(word)[::-1])
+
+
+# the first failure each planted fault makes its criterion report
+FIRST_FAILURES = {
+    1: "ones m=1, first (n, k, values) (3, 2, {'recurrence': 2, 'conv': 2, 'bell': 3, 'pascal': 2})",
+    2: "ones d=1 t=1 n=5: weighted row sum != transform",
+    3: "ones d=1 t=2 n=4: weighted row sum != transform",
+    4: "ones m=1 n=3 k=2",
+    5: "ones m=1 n=2 k=1: engine 2 != formula 1",
+    6: "inversion identity fails at n=4 k=4",
+    7: "Bell identity fails for ones",
+    8: "ones: power relation fails at m=4",
+    9: "Chebyshev coefficient check fails at n=3 k=1",
+    10: "round trip (1, 2)",
+}
+
+
+@pytest.mark.parametrize("num", FIRST_FAILURES)
+def test_a_planted_fault_fails_its_criterion(monkeypatch, num):
+    criterion = next(test for name, test in globals().items() if name.startswith(f"test_criterion_{num:02d}_"))
+    _plant(monkeypatch, num)
+    with pytest.raises(AssertionError) as failed:
+        criterion(_QuietCapsys)
+    line = str(failed.value).splitlines()[0]
+    assert line.startswith(f"criterion {num:2d} [FAIL] ")
+    assert line.endswith(f"; first failure: {FIRST_FAILURES[num]}")

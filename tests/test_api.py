@@ -179,15 +179,13 @@ def test_every_export_is_used_outside_the_unit_tests():
 # plumbing of errors, records and the table type; a module name allows all of it
 SHARED_BY_RULE = {
     "triangle._prefix", "sequences.ArithmeticFunction", "sequences._series",
-    "sequences.check_output_size", "sequences.entry_bits", "sequences._too_large",
+    "sequences.check_output_size", "sequences.entry_bits",
     "sequences.iterate_invert", "triangle._weights",
     "errors", "records", "pascal.LowerTriangularMatrix",
 }
-# what two routes share beyond the rule: triangle_pascal takes its depth-1
-# base from triangle_recurrence
-SHARED_BY_EXCEPTION = {
-    ("recurrence", "pascal"): ["triangle._rows_from_weights", "triangle.triangle_recurrence"],
-}
+# what two routes share beyond the rule: triangle_pascal builds its depth-1
+# base with the recurrence's first-part sums
+SHARED_BY_EXCEPTION = {("recurrence", "pascal"): ["triangle._rows_from_weights"]}
 
 
 def _reachable_definitions():
@@ -235,5 +233,6 @@ def test_the_routes_share_only_the_seed_and_the_invert_transform():
         if beyond:
             shared[a, b] = beyond
     assert shared == SHARED_BY_EXCEPTION
-    # the convolution route reads f_0 alone, never the transform
-    assert not {"sequences.iterate_invert", "triangle._weights"} & reached["conv"]
+    # the convolution and Pascal routes read f_0 alone, never the transform
+    for route in ("conv", "pascal"):
+        assert not {"sequences.iterate_invert", "triangle._weights"} & reached[route], route

@@ -137,6 +137,7 @@ def fork_fails(monkeypatch):
         raise OSError("no process to spare")
 
     monkeypatch.setattr(os, "fork", fork)
+    forked(monkeypatch)  # so the fork is tried whatever this host's CPU count
 
 
 def forked(monkeypatch):
@@ -144,6 +145,8 @@ def forked(monkeypatch):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
 
 
+# every condition that picks a run: a fork, no os.fork, one usable CPU, and a
+# fork that fails; the last three run every job here in order
 BUILD_PATHS = [forked, no_fork, one_cpu, fork_fails]
 
 
@@ -202,7 +205,7 @@ def raise_inconsistency(seed, m, n):
     raise InternalConsistencyError(f"planted failure at N={n}")
 
 
-# a triangle on each side of cli._WIDE_BITS, by the split it takes; entries of
+# a triangle on each side of cli._WIDE_BITS, by the split it takes; weights of
 # about 400 bits push the wide one's bit bound past it at N = 9
 SPLIT_ARGVS = {
     "narrow": ("triangle", "--preset", "fib", "--m", "2", "--N", "9", "--algo"),
@@ -262,16 +265,21 @@ def test_a_child_that_sends_nothing_is_an_error(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     ("split", "source"),
-    [("narrow", ("--preset", "odd", "--m", "3", "--N", "10")), ("wide", ("--seed", wide_seed(), "--m", "2", "--N", "64"))],
-    ids=["narrow", "wide"],
+    [
+        ("narrow", ("--preset", "odd", "--m", "3", "--N", "10")),
+        ("wide", ("--seed", wide_seed(), "--m", "2", "--N", "64")),
+        # at m = 1 the weights are the seed, whose bound at N = 64 is 127 bits
+        ("narrow", ("--seed", wide_seed(), "--m", "1", "--N", "64")),
+    ],
+    ids=["narrow", "wide", "wide-seed-at-depth-one"],
 )
 def test_the_split_follows_the_bit_bound(capsys, monkeypatch, split, source):
     children = []
     run_forked = cli._run_forked
 
-    def spy(child, own, jobs):
+    def spy(names, child, jobs):
         children.append(child)
-        return run_forked(child, own, jobs)
+        return run_forked(names, child, jobs)
 
     monkeypatch.setattr(cli, "_run_forked", spy)
     forked(monkeypatch)
@@ -458,10 +466,30 @@ def typed(done):
 def test_run_forked_returns_what_run_jobs_returns(first, second, sent_once):
     jobs = {"own": lambda: "here", "first": first, "second": second, "third": lambda: "after"}
     child = ["first", "second", "third"]
-    done = cli._run_forked(child, ["own"], jobs)
+    done = cli._run_forked(["own", *child], child, jobs)
     assert typed(done) == typed(cli._run_jobs(["own", *child], jobs))
     # the child sends an equal pair of one type as one object
     assert (done["first"] is done["second"]) == sent_once
+    assert_no_child_left()
+
+
+def test_a_failed_fork_runs_the_jobs_here_in_order(monkeypatch):
+    # the first job fails, so an in-order run calls no other, the child's among them
+    calls = []
+
+    def job(name):
+        def run_job():
+            calls.append(name)
+            return raise_planted() if name == "first" else name
+
+        return run_job
+
+    names = ["first", "child", "own"]
+    jobs = {name: job(name) for name in names}
+    fork_fails(monkeypatch)
+    done = cli._run_forked(names, ["child"], jobs)
+    assert typed(done) == typed(cli._run_jobs(names, jobs))
+    assert calls == ["first", "first"]
     assert_no_child_left()
 
 

@@ -25,6 +25,7 @@ from comptri import (
     oracle_model,
     pascal_lower,
     row_sum,
+    shifted_pascal_inverse,
     triangle_recurrence,
 )
 from comptri.sequences import entry_bits
@@ -81,6 +82,15 @@ GUARDS = {
     ),
     "pascal_lower-bool-power": (
         lambda: pascal_lower(3, True), ValueError, "power must be an integer, got True"
+    ),
+    "entry-bool-index": (
+        lambda: pascal_lower(3).entry(True, True), ValueError, "i must be an integer, got True"
+    ),
+    "shifted_pascal_inverse-bool-order": (
+        lambda: shifted_pascal_inverse(True), ValueError, "order must be an integer, got True"
+    ),
+    "arithmetic_function-bool-n": (
+        lambda: make_seed("fib", 5)(True), ValueError, "n must be an integer, got True"
     ),
     "mat_pow-bool-power": (
         lambda: mat_pow(pascal_lower(3), True), ValueError, "power must be an integer, got True"

@@ -150,8 +150,12 @@ def test_closed_form_bounds_one_entry_not_a_whole_prefix():
     # alone: n = 2897 passes, though 2897 such entries exceed MAX_OUTPUT_BITS
     assert closed_form("ones", 1, 2897, 1) == 1
     assert closed_form("ones", 1, 6000, 1) == 1  # 11 999 bits
-    with pytest.raises(OutputSizeError, match="12001 bits per entry"):
+    # the refusal names the one entry and its bound, not a prefix's
+    with pytest.raises(OutputSizeError) as refused:
         closed_form("ones", 1, 6001, 1)
+    assert str(refused.value) == (
+        "output-size bound exceeded: c_1(6001, 1) may need 12001 bits; the bound is 12000 bits per entry"
+    )
 
 
 def full_range_form(preset, m, n, k):

@@ -145,14 +145,14 @@ def _reference(preset, m, order):
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_convolution_and_pascal_need_no_transformed_weights(preset, monkeypatch):
-    # a transform that is wrong from its first step on breaks the routes that
-    # read w, while the convolution route reads f_0 and the Pascal route c_1
+    # a transform that is wrong at every depth, 0 among them, breaks the routes
+    # that read w, while the convolution route reads f_0 and the Pascal route
+    # builds c_1 from f_0
     expected = _reference(preset, 2, 10)
     transform = triangle.iterate_invert
 
     def wrong(f, m):
-        good = transform(f, m)
-        return good if m == 0 else ArithmeticFunction(tuple(v + 1 for v in good.values))
+        return ArithmeticFunction(tuple(v + 1 for v in transform(f, m).values))
 
     monkeypatch.setattr(triangle, "iterate_invert", wrong)
     f0 = make_seed(preset, 10)
