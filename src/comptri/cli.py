@@ -32,7 +32,7 @@ from typing import Sequence
 
 from . import verify
 from .errors import ComptriError, EnumerationBudgetError, InsufficientSeedError, OutputSizeError
-from .sequences import ArithmeticFunction, Preset, check_output_size, iterate_invert, make_seed
+from .sequences import ArithmeticFunction, Preset, check_output_size, entry_bits, iterate_invert, make_seed
 from .triangle import ORDER_CAP, ROUTES, disagreements, triangle_recurrence
 from .words import DEFAULT_BUDGET, oracle_rows
 
@@ -47,15 +47,16 @@ BUDGET_CAP = 1 << 30  # under half a minute at about 5e7 words/s
 # process builds and formats the others, the printed recurrence among them.  On
 # narrow weights every route costs about the same, so bell stays here; on wide
 # ones bell's and the recurrence's products by them dominate, so bell joins the
-# child.  The split is wide when check_output_size's bound on the weights f_(m-1)
+# child.  The split is wide when entry_bits' bound on the weights f_(m-1)
 # exceeds _WIDE_BITS: at N=64 and m >= 2, b-bit custom seeds crossed over between
 # bounds of 1343 and 1536 (b = 20 and 24), and at m = 1, whose bound is at most
-# 127 bits, narrow was faster in 14 of 18 readings (BENCH_width_split.json)
+# 127 bits, narrow was faster in 14 of 18 readings (BENCH_width_split.json).  A
+# bound past the size cap picks a split too; the recurrence, built here, refuses it
 _CHILD_ROUTES = {"narrow": ("conv", "pascal"), "wide": ("conv", "bell", "pascal")}
 _WIDE_BITS = 1440
 # `verify` with no --suite runs these suites in a forked child while it runs the
-# others, word counting (and numpy) among them: 14.7 ms against 14.6 ms at default
-# bounds (the sums of each suite's best of 15 on 2 vCPUs); no other split is shorter
+# others, word counting (and numpy) among them: 21.2 ms against 21.1 ms at default
+# bounds (sums of each suite's median best of 15, 2 vCPUs; BENCH_general_path.json)
 _CHILD_SUITES = ("bell", "pascal", "closed-forms")
 
 
@@ -224,11 +225,9 @@ def _run_in_order(names, child_names, jobs):
 
 
 def _child_routes(seed: ArithmeticFunction, m: int, n: int) -> tuple[str, ...]:
-    """_CHILD_ROUTES of the split that the bit bound of the depth-m weights picks."""
-    try:
-        wide = check_output_size(n, m - 1, max(seed.values)) > _WIDE_BITS
-    except OutputSizeError:  # every route refuses it, each after its own checks
-        wide = False
+    """_CHILD_ROUTES of the split that entry_bits of the depth-m weights picks,
+    whatever the size: the recurrence, built here, refuses a triangle too large."""
+    wide = entry_bits(n, m - 1, max(seed.values)) > _WIDE_BITS
     return _CHILD_ROUTES["wide" if wide else "narrow"]
 
 

@@ -20,11 +20,12 @@ F_m = P/D with D = Q - m P, and one recurrence, g(n) = p_n - sum_{i>=1}
 d_i g(n-i), expands the seed (D = Q) and f_m in O(N deg D) steps.  A seed
 takes its preset's pair only if its label names the preset and P/Q expands
 to its values; any other is P = f_0, Q = 1, the closed form above, in
-O(N nnz) steps whatever m is.  invert_transform keeps the one-step
-definition.  The check of f_m that does not use the closed form is
-verify.weighted_row_sums, sum_k c_d(n, k) t^(k-1) = f_(d-1+t)(n) on
-triangles built from the depth-(d-1) weights: the row sums at t = 1 and
-the depth-one expansion at d = 1.
+O(N nnz) steps whatever m is.  m = 0 is no special case: D = Q expands f_0
+itself.  invert_transform keeps the one-step definition.  The check of f_m
+that does not use the closed form is verify.weighted_row_sums,
+sum_k c_d(n, k) t^(k-1) = f_(d-1+t)(n) on triangles built from the
+depth-(d-1) weights: the row sums at t = 1 and the depth-one expansion at
+d = 1.
 
 entry_bits is the one output-size rule: it bounds the bit length of
 f_m(1..N), and so of every triangle entry c_m(n, k) <= f_m(n).
@@ -140,12 +141,10 @@ def invert_transform(f: ArithmeticFunction) -> ArithmeticFunction:
 
 def iterate_invert(f0: ArithmeticFunction, m: int) -> ArithmeticFunction:
     """The m-th invert transform f_m = P/(Q - m P) for f0's F_0 = P/Q (see
-    the module docstring); m = 0 returns f0 itself."""
+    the module docstring); at m = 0, D = Q expands f0's own values."""
     check_integer("m", m)
     if m < 0:
         raise ValueError("the transform is only iterated forward, m must be >= 0")
-    if m == 0:
-        return f0
     pair = _RATIONAL.get(f0.label) if isinstance(f0.label, str) else None
     if pair is None or _series(*pair, len(f0)) != f0.values:
         pair = (0, *f0.values), (1,)

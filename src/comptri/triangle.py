@@ -143,8 +143,7 @@ def triangle_convolution(f0: ArithmeticFunction, m: int, order: int) -> LowerTri
                 acc += v * h[n - i]
             column[n] = acc
             rows[n - 1][k - 1] = acc
-            if m > 1:
-                h[n] += (m - 1) * acc
+            h[n] += (m - 1) * acc
     return LowerTriangularMatrix(rows)
 
 

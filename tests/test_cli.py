@@ -148,9 +148,12 @@ def forked(monkeypatch):
 # every condition that picks a run: a fork, no os.fork, one usable CPU, and a
 # fork that fails; the last three run every job here in order
 BUILD_PATHS = [forked, no_fork, one_cpu, fork_fails]
+# a test of output alone runs forked and in order; the three in-order conditions
+# end in one _run_jobs call, which the tests of the choice between them pin
+OUTPUT_PATHS = [forked, no_fork]
 
 
-@pytest.mark.parametrize("path", BUILD_PATHS)
+@pytest.mark.parametrize("path", OUTPUT_PATHS)
 @pytest.mark.parametrize(
     "source",
     [("--preset", "odd", "--m", "3", "--N", "10"), ("--seed", wide_seed(), "--m", "2", "--N", "64")],
@@ -296,6 +299,21 @@ def test_the_split_leaves_an_oversized_triangle_to_the_routes(capsys, monkeypatc
     assert run(capsys, *argv, "all") == run(capsys, *argv, "recurrence") == expected
 
 
+def test_the_split_leaves_oversized_weights_to_the_routes(capsys, monkeypatch):
+    # the weights' bound, 24000 bits, is past the size cap at an order within
+    # the cap: the split is chosen, and the recurrence refuses the triangle
+    argv = ("triangle", "--seed", f"{2**11999},1", "--m", "2", "--N", "2", "--algo")
+    forked(monkeypatch)
+    expected = (
+        3,
+        "",
+        "error: output-size bound exceeded: f_2(1..2) may need 24001 bits per entry, 48002 in all; "
+        "the bound is 12000 bits per entry and 16777216 in all\n",
+    )
+    assert run(capsys, *argv, "all") == run(capsys, *argv, "recurrence") == expected
+    assert_no_child_left()
+
+
 PARENT_FAILURE = """
 import json, os, sys
 from comptri import cli, triangle, verify
@@ -368,7 +386,7 @@ def plus_one(route, entries):
     return build
 
 
-@pytest.mark.parametrize("path", BUILD_PATHS)
+@pytest.mark.parametrize("path", OUTPUT_PATHS)
 @pytest.mark.parametrize(
     ("route", "detail"),
     [("bell", "recurrence=4 conv=4 bell=5 pascal=4"), ("recurrence", "recurrence=5 conv=4 bell=4 pascal=4")],
@@ -397,7 +415,7 @@ def test_triangle_disagreement_lists_the_first_twenty(capsys, monkeypatch):
     assert lines[20] == "28 disagreeing entries"
 
 
-@pytest.mark.parametrize("path", BUILD_PATHS)
+@pytest.mark.parametrize("path", OUTPUT_PATHS)
 def test_triangle_reports_a_route_of_another_order(capsys, monkeypatch, path):
     # every shared entry agrees, so only the extra row can tell them apart
     path(monkeypatch)
@@ -417,7 +435,7 @@ def test_triangle_reports_a_route_of_another_order(capsys, monkeypatch, path):
     )
 
 
-@pytest.mark.parametrize("path", BUILD_PATHS)
+@pytest.mark.parametrize("path", OUTPUT_PATHS)
 def test_the_printed_triangle_is_formatted_once_in_this_process(capsys, monkeypatch, tmp_path, path):
     # each call of _emit_triangle, in this process or a forked child, appends its pid
     calls = tmp_path / "calls"
@@ -796,7 +814,7 @@ def test_verify_single_suite(capsys):
     assert err == ""
 
 
-@pytest.mark.parametrize("path", BUILD_PATHS)
+@pytest.mark.parametrize("path", OUTPUT_PATHS)
 def test_verify_default_bounds_output(capsys, monkeypatch, path):
     path(monkeypatch)
     assert run(capsys, "verify") == (
@@ -813,7 +831,7 @@ def test_verify_default_bounds_output(capsys, monkeypatch, path):
     )
 
 
-@pytest.mark.parametrize("path", BUILD_PATHS)
+@pytest.mark.parametrize("path", OUTPUT_PATHS)
 def test_verify_all_suites_small(capsys, monkeypatch, path):
     path(monkeypatch)
     assert run(capsys, "verify", "--max", "6") == (
@@ -830,7 +848,7 @@ def test_verify_all_suites_small(capsys, monkeypatch, path):
     )
 
 
-@pytest.mark.parametrize("path", BUILD_PATHS)
+@pytest.mark.parametrize("path", OUTPUT_PATHS)
 def test_verify_stops_at_the_word_budget(capsys, monkeypatch, path):
     # chebyshev, a suite of this process, fails after the child's suites
     path(monkeypatch)

@@ -81,13 +81,15 @@ def test_preset_pair_transforms_as_its_prefix(preset):
 
 
 @PROPERTY
-@given(CUSTOM_SEEDS, st.sampled_from(PRESETS), st.integers(1, 5))
+@given(CUSTOM_SEEDS, st.sampled_from(PRESETS), st.integers(0, 5))
 @example(ArithmeticFunction((1, 1, 1, 2)), "ones", 2)
 @example(ArithmeticFunction((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13)), "natural", 3)
 def test_a_mislabelled_seed_transforms_as_its_values(f0, preset, m):
     # a preset's label on other values must not select that preset's pair
     labelled = ArithmeticFunction(f0.values, preset)
     assert iterate_invert(labelled, m).values == iterate_invert(ArithmeticFunction(f0.values), m).values
+    # depth 0 takes the general path, which expands f0's own values again
+    assert iterate_invert(labelled, 0) == labelled
 
 
 def test_custom_is_not_a_preset():
