@@ -18,7 +18,6 @@ from .errors import (
     OutputSizeError,
 )
 from .identities import (
-    binom,
     chebyshev_u,
     check_binomial_inversion,
     check_chebyshev,
@@ -43,7 +42,6 @@ from .sequences import (
     make_seed,
 )
 from .triangle import (
-    row_sum,
     triangle_bell,
     triangle_convolution,
     triangle_pascal,
@@ -82,7 +80,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "bell_invert_identity_check",
     "bell_table",
-    "binom",
     "chebyshev_u",
     "check",
     "check_binomial_inversion",
@@ -105,7 +102,6 @@ __all__ = [
     "oracle_row",
     "oracle_rows",
     "pascal_lower",
-    "row_sum",
     "shifted_pascal_inverse",
     "triangle_bell",
     "triangle_convolution",

@@ -31,7 +31,7 @@ import sys
 from typing import Sequence
 
 from . import verify
-from .errors import ComptriError, EnumerationBudgetError, InsufficientSeedError, OutputSizeError
+from .errors import ComptriError, EnumerationBudgetError, OutputSizeError
 from .sequences import ArithmeticFunction, Preset, check_output_size, entry_bits, iterate_invert, make_seed
 from .triangle import ORDER_CAP, ROUTES, disagreements, triangle_recurrence
 from .words import DEFAULT_BUDGET, oracle_rows
@@ -60,13 +60,6 @@ _WIDE_BITS = 1440
 _CHILD_SUITES = ("bell", "pascal", "closed-forms")
 
 
-def _parse_seed_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ComptriError(f"could not parse {text!r} as comma-separated integers")
-
-
 class _IntRange(argparse.Action):
     """An integer flag with a floor and an optional cap; a value outside is a
     usage error that names the flag."""
@@ -90,10 +83,13 @@ def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser):
         if args.preset not in (None, "custom"):
             parser.error("--seed only combines with --preset custom")
         try:
-            values = _parse_seed_list(args.seed)
-            n = args.N if args.N is not None else len(values)
-            if len(values) < n:
-                raise InsufficientSeedError(f"custom seed has {len(values)} terms, {n} requested")
+            values = [int(part) for part in args.seed.split(",")]
+        except ValueError:
+            parser.error(f"could not parse {args.seed!r} as comma-separated integers")
+        n = args.N if args.N is not None else len(values)
+        if len(values) < n:
+            parser.error(f"custom seed has {len(values)} terms, {n} requested")
+        try:
             seed = ArithmeticFunction(tuple(values[:n]))
         except ComptriError as exc:
             parser.error(str(exc))
@@ -224,13 +220,6 @@ def _run_in_order(names, child_names, jobs):
         yield name, done[name]
 
 
-def _child_routes(seed: ArithmeticFunction, m: int, n: int) -> tuple[str, ...]:
-    """_CHILD_ROUTES of the split that entry_bits of the depth-m weights picks,
-    whatever the size: the recurrence, built here, refuses a triangle too large."""
-    wide = entry_bits(n, m - 1, max(seed.values)) > _WIDE_BITS
-    return _CHILD_ROUTES["wide" if wide else "narrow"]
-
-
 def _cmd_triangle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     seed, seed_repr, n = _resolve_seed(args, parser)
     names = list(ROUTES) if args.algo == "all" else [args.algo]
@@ -242,7 +231,8 @@ def _cmd_triangle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         return rows, _emit_triangle(seed_repr, args.m, n, rows, args.format)
 
     jobs[names[0]] = build_and_emit
-    triangles = dict(_run_in_order(names, _child_routes(seed, args.m, n), jobs))
+    split = "wide" if entry_bits(n, args.m - 1, max(seed.values)) > _WIDE_BITS else "narrow"
+    triangles = dict(_run_in_order(names, _CHILD_ROUTES[split], jobs))
     triangles[names[0]], text = triangles[names[0]]
     found = disagreements(triangles)
     if found:

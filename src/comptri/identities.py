@@ -5,8 +5,9 @@ series of w = f_(m-1), has one closed form, a polynomial in m - 1 valid at
 every depth; at m = 1 only its (m-1)^0 terms remain, the depth-1 form.  Each
 sum runs only over the indices where every binomial in its terms is in
 support, 0 <= k <= n, so it calls math.comb directly; a sum with no such
-index is 0, exactly where the triangle vanishes.  ``binom``, which returns 0
-outside the support, serves the word-count checkers.
+index is 0, exactly where the triangle vanishes.  The word-count checkers
+call math.comb as well: their guards keep both arguments nonnegative, and
+math.comb is 0 past the support, k > n.
 """
 
 from __future__ import annotations
@@ -19,13 +20,6 @@ from .sequences import MAX_ENTRY_BITS, Preset, entry_bits, make_seed
 from .triangle import triangle_recurrence
 
 PolynomialZ = tuple[int, ...]
-
-
-def binom(n: int, k: int) -> int:
-    """C(n, k), defined as 0 whenever k < 0, n < 0 or k > n."""
-    check_integer("n", n)
-    check_integer("k", k)
-    return comb(n, k) if 0 <= k <= n else 0
 
 
 def _form(preset: Preset, m: int, n: int, k: int) -> int:
@@ -124,7 +118,7 @@ def check_word_binomial(n: int, k: int, words: int) -> bool:
     check_integer("words", words)
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    return binom(n + k - 1, 2 * k - 1) == words
+    return comb(n + k - 1, 2 * k - 1) == words
 
 
 # check_chebyshev asks for u_(n+k-2) once per pair (n, k), so for each degree
@@ -133,15 +127,13 @@ def check_word_binomial(n: int, k: int, words: int) -> bool:
 @functools.lru_cache(maxsize=64, typed=True)
 def chebyshev_u(d: int) -> PolynomialZ:
     """Coefficients of the degree-d Chebyshev polynomial of the second kind,
-    ascending by degree: u_0 = 1, u_1 = 2x, u_d = 2x u_(d-1) - u_(d-2)."""
+    ascending by degree: u_(-1) = 0, u_0 = 1, u_d = 2x u_(d-1) - u_(d-2)."""
     check_integer("degree", d)
     if d < 0:
         raise ValueError("degree must be >= 0")
-    prev: PolynomialZ = (1,)
-    if d == 0:
-        return prev
-    cur: PolynomialZ = (0, 2)
-    for _ in range(d - 1):
+    prev: PolynomialZ = ()
+    cur: PolynomialZ = (1,)
+    for _ in range(d):
         nxt = [0] + [2 * c for c in cur]
         for i, c in enumerate(prev):
             nxt[i] -= c
@@ -159,5 +151,5 @@ def check_chebyshev(n: int, k: int, words: int) -> bool:
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     magnitude = abs(chebyshev_u(n + k - 2)[n - k])
-    closed = 2 ** (n - k) * binom(n - 1, k - 1)
+    closed = 2 ** (n - k) * comb(n - 1, k - 1)
     return magnitude == closed == words

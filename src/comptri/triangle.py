@@ -122,13 +122,12 @@ def triangle_convolution(f0: ArithmeticFunction, m: int, order: int) -> LowerTri
 
     and h(n) takes its second term as soon as c(n, k) is known.  Every product
     is a seed value times an entry.  With s the least i where f_0(i) != 0,
-    rows n < s k of column k are zero and are skipped.
+    rows n < s k of column k are zero and are skipped; a seed with no nonzero
+    term takes s = order + 1, so that no column is filled.
     """
     nonzero = [(i, v) for i, v in enumerate(_prefix(f0, m, order).values, start=1) if v]
     rows = [[0] * n for n in range(1, order + 1)]
-    if not nonzero:
-        return LowerTriangularMatrix(rows)
-    s = nonzero[0][0]
+    s = nonzero[0][0] if nonzero else order + 1
     # column[j] = c(j, 0): 1 at j = 0, else 0
     column = [1] + [0] * order
     for k in range(1, order // s + 1):
@@ -193,11 +192,3 @@ def disagreements(triangles: dict[str, tuple]) -> list[tuple[int, int, dict[str,
             if len(set(values.values())) > 1:
                 found.append((n, k, values))
     return found
-
-
-def row_sum(tri: LowerTriangularMatrix, n: int) -> int:
-    """sum_k c(n, k), which equals f_m(n) for the triangle's seed and depth."""
-    check_integer("n", n)
-    if not 1 <= n <= tri.order:
-        raise IndexError(f"n must lie in 1..{tri.order}")
-    return sum(tri.rows[n - 1])

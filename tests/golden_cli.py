@@ -27,9 +27,9 @@ import sys
 from pathlib import Path
 
 from comptri import cli
+from seeds import PRESETS
 
 CORPUS = Path(__file__).resolve().parent / "golden_cli.json"
-PRESETS = ("ones", "fib", "odd", "natural", "ge2", "two_three")
 FORMATS = ("csv", "json", "bfile")
 # zeros, f(1) = 0, and a 65-bit value
 CUSTOM = "0,3,0," + str(2**65) + ",1,0,2"

@@ -31,8 +31,8 @@ from comptri import (
     word_to_composition,
 )
 from comptri.triangle import ROUTES, disagreements
+from seeds import PRESETS
 
-PRESETS = ("ones", "fib", "odd", "natural", "ge2", "two_three")
 BUDGET = 1 << 26
 # each criterion's comparison count, so that no criterion loses comparisons
 CHECKS = {1: 24, 2: 900, 3: 1350, 4: 1682, 5: 3360, 6: 894, 7: 26, 8: 180, 9: 155, 10: 4131}

@@ -1,9 +1,9 @@
 """The public names and the functions the benchmark tracer patches exist,
-the tracer sees every triangle route, the README's library session runs and
-its list of record types is whole, no module keeps an unused import or an
-unused private name or imports another's, no public name is used by the
-unit tests alone, and the triangle routes share only what the pinned
-sharing map allows."""
+the package imports exactly its public names, the tracer sees every triangle
+route, the README's library session runs and its list of record types is
+whole, no module keeps an unused import or an unused private name or imports
+another's, no public name is used by the unit tests alone, and the triangle
+routes share only what the pinned sharing map allows."""
 
 import ast
 import doctest
@@ -78,6 +78,14 @@ def _module_imports(tree):
             for alias in node.names:
                 yield node.lineno, alias.asname or alias.name.split(".")[0]
         nodes.extend(ast.iter_child_nodes(node))
+
+
+def test_the_package_imports_exactly_its_exports():
+    # test_no_unused_module_imports skips __init__, so without this an export
+    # dropped from __all__ could leave its import behind
+    imported = [name for _, name in _module_imports(ast.parse((SRC / "__init__.py").read_text()))]
+    assert len(set(imported)) == len(imported)
+    assert sorted(imported) == sorted(comptri.__all__)
 
 
 def test_no_unused_module_imports():

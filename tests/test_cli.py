@@ -615,7 +615,6 @@ def test_usage_errors(capsys):
         ["transform", "--preset", "ones"],
         ["transform", "--preset", "custom"],
         ["transform", "--preset", "ones", "--seed", "1,2", "--N", "3"],
-        ["transform", "--seed", "1,2,x"],
         ["transform", "--preset", "nope", "--N", "3"],
         ["triangle", "--preset", "ones", "--N", "80"],
         ["triangle", "--preset", "ones", "--N", "4", "--format", "xml"],
@@ -646,6 +645,8 @@ def test_usage_errors(capsys):
         (["verify", "--budget", "0"], "--budget must be at least 1"),
         (["verify", "--max", "0"], "--max must be at least 1"),
         (["transform", "--seed", "1,2", "--N", "5"], "custom seed has 2 terms, 5 requested"),
+        (["transform", "--seed", "1,2,x"], "could not parse '1,2,x' as comma-separated integers"),
+        (["triangle", "--seed", "1,-2", "--N", "2"], "entries must be nonnegative integers, got -2"),
         (["oracle", "--preset", "ones", "--m", "1", "--N", "64", "--budget", "100000000000000000000"],
          "--budget is capped at 1073741824"),
         (["verify", "--suite", "chebyshev", "--max", "64", "--budget", "100000000000000000000"],

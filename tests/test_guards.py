@@ -10,7 +10,6 @@ from comptri import (
     Restriction as R,
     WordModel,
     bell_table,
-    binom,
     chebyshev_u,
     check,
     check_binomial_inversion,
@@ -24,7 +23,6 @@ from comptri import (
     mat_pow,
     oracle_model,
     pascal_lower,
-    row_sum,
     shifted_pascal_inverse,
     triangle_recurrence,
 )
@@ -98,12 +96,6 @@ GUARDS = {
     "mat_pow-float-power": (
         lambda: mat_pow(pascal_lower(3), 2.0), ValueError, "power must be an integer, got 2.0"
     ),
-    "row_sum-bool-n": (
-        lambda: row_sum(pascal_lower(3), True), ValueError, "n must be an integer, got True"
-    ),
-    "row_sum-float-n": (
-        lambda: row_sum(pascal_lower(3), 1.0), ValueError, "n must be an integer, got 1.0"
-    ),
     "check_output_size-float-n": (
         lambda: check_output_size(3.0, 1, 1), ValueError, "n must be an integer, got 3.0"
     ),
@@ -113,8 +105,6 @@ GUARDS = {
     "check_output_size-float-top": (
         lambda: check_output_size(3, 1, 1.5), ValueError, "top must be an integer, got 1.5"
     ),
-    "binom-bool-n": (lambda: binom(True, 1), ValueError, "n must be an integer, got True"),
-    "binom-float-n": (lambda: binom(4.0, 2), ValueError, "n must be an integer, got 4.0"),
     "binomial_inversion-bool-n": (
         lambda: check_binomial_inversion(True, 1), ValueError, "n must be an integer, got True"
     ),

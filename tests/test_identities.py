@@ -10,7 +10,6 @@ from comptri import (
     OutputSizeError,
     Restriction,
     WordModel,
-    binom,
     chebyshev_u,
     check_binomial_inversion,
     check_chebyshev,
@@ -23,18 +22,9 @@ from comptri import (
     triangle_recurrence,
 )
 from comptri import identities, verify
+from seeds import PRESETS
 
 R = Restriction
-
-PRESETS = ("ones", "fib", "odd", "natural", "ge2", "two_three")
-
-
-def test_binom_guard():
-    assert binom(5, 2) == comb(5, 2)
-    assert binom(5, 0) == 1
-    assert binom(3, 4) == 0
-    assert binom(-1, 0) == 0
-    assert binom(4, -2) == 0
 
 
 CHEBYSHEV_SMALL = {
@@ -156,6 +146,10 @@ def test_closed_form_bounds_one_entry_not_a_whole_prefix():
     assert str(refused.value) == (
         "output-size bound exceeded: c_1(6001, 1) may need 12001 bits; the bound is 12000 bits per entry"
     )
+
+
+def binom(n, k):
+    return comb(n, k) if 0 <= k <= n else 0
 
 
 def full_range_form(preset, m, n, k):

@@ -14,8 +14,7 @@ from comptri import (
     iterate_invert,
     make_seed,
 )
-
-PRESETS = ("ones", "fib", "odd", "natural", "ge2", "two_three")
+from seeds import CUSTOM_SEEDS, PRESETS
 
 # Frozen from independent word enumeration: the transform of the FIB seed
 # counts binary words with no 00 factor (1, 2, 3, 5, 8, ...), the transform
@@ -25,14 +24,6 @@ FIB_DEPTH1 = (1, 2, 3, 5, 8, 13, 21, 34)
 ONES_DEPTH1 = (1, 2, 4, 8, 16)
 FIB_DEPTH2_AT_4 = 22
 
-# custom seeds f_0(1..N), N <= 16: digits or 64-bit entries, f(1) may be 0,
-# and some seeds are all zeros after their first few terms
-ENTRIES = st.integers(0, 9) | st.integers(2**63, 2**64 - 1)
-CUSTOM_SEEDS = (
-    st.lists(ENTRIES, min_size=1, max_size=16)
-    | st.builds(lambda head, zeros: head + [0] * zeros,
-                st.lists(ENTRIES, min_size=1, max_size=3), st.integers(0, 13))
-).map(lambda values: ArithmeticFunction(tuple(values), "custom"))
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 
 

@@ -16,7 +16,6 @@ from comptri import (
     make_seed,
     mat_mul,
     pascal_lower,
-    row_sum,
     triangle,
     triangle_bell,
     triangle_convolution,
@@ -24,8 +23,7 @@ from comptri import (
     triangle_recurrence,
 )
 from comptri.triangle import ROUTES, disagreements
-
-PRESETS = ("ones", "fib", "odd", "natural", "ge2", "two_three")
+from seeds import PRESETS
 
 # custom seeds f_0(1..N), N <= 16: digits, some 64-bit weights, f(1) may be 0
 CUSTOM_SEEDS = st.lists(
@@ -221,9 +219,6 @@ def test_boundary_conventions():
     for n, k in ((0, 0), (4, 0), (7, 1), (3, -1), (3, 7)):
         with pytest.raises(IndexError):
             tri.entry(n, k)
-    for n in (0, 7):
-        with pytest.raises(IndexError):
-            row_sum(tri, n)
 
 
 @pytest.mark.parametrize("preset", PRESETS)

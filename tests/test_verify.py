@@ -3,9 +3,9 @@ used, and the weighted row sums hold for custom seeds and catch what the row
 sums alone miss."""
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from comptri import ArithmeticFunction, LowerTriangularMatrix, Preset, make_seed, pascal_lower, verify
+from seeds import CUSTOM_SEEDS
 
 
 def test_pascal_power_computed_once_is_compared_for_every_preset(monkeypatch):
@@ -53,16 +53,6 @@ def test_a_transform_computed_once_is_compared_by_both_row_sum_sweeps(monkeypatc
         "ones d=2 t=1 n=3: weighted row sum != transform",
         "ones d=1 t=2 n=3: weighted row sum != transform",
     )
-
-
-# custom seeds f_0(1..N), N <= 16: digits or 64-bit entries, f(1) may be 0,
-# and some seeds are all zeros after their first few terms
-ENTRIES = st.integers(0, 9) | st.integers(2**63, 2**64 - 1)
-CUSTOM_SEEDS = (
-    st.lists(ENTRIES, min_size=1, max_size=16)
-    | st.builds(lambda head, zeros: head + [0] * zeros,
-                st.lists(ENTRIES, min_size=1, max_size=3), st.integers(0, 13))
-).map(lambda values: ArithmeticFunction(tuple(values), "custom"))
 
 
 def full_range(order, depths):
