@@ -30,9 +30,7 @@ from .sequences import ArithmeticFunction, invert_transform
 
 def _check_prefix(x: Sequence, n_max: int) -> None:
     """Refuse an n_max that is not an int >= 0, or fewer than n_max arguments."""
-    check_integer("n_max", n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    check_integer("n_max", n_max, 0)
     if len(x) < n_max:
         raise ValueError(f"need x_1..x_{n_max}, got {len(x)} arguments")
 

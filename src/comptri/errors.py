@@ -1,10 +1,14 @@
-"""Exception types shared across the package, and its one integer-argument rule."""
+"""Exception types shared across the package, and its one integer-argument
+rule: an int that is not a bool, and at least a floor where one is given."""
 
 
-def check_integer(what: str, value) -> None:
-    """Refuse a ``value`` that is a bool or not an int, naming it ``what``."""
+def check_integer(what: str, value, least: int | None = None) -> None:
+    """Refuse a ``value`` that is a bool or not an int, or below ``least``
+    when given, naming it ``what``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}")
 
 
 class ComptriError(Exception):

@@ -43,15 +43,19 @@ def _form(preset: Preset, m: int, n: int, k: int) -> int:
                for j in range(max(0, -(-n // 3) - k), n // 2 - k + 1))
 
 
+def _check_entry(n: int, k: int) -> None:
+    """Refuse an n or a k that is not an integer, or a pair outside 1 <= k <= n."""
+    check_integer("n", n)
+    check_integer("k", k)
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+
+
 def closed_form(preset: Preset | str, m: int, n: int, k: int) -> int:
     """Explicit binomial value of the depth-m triangle entry c(n, k), for every integer m >= 1."""
     preset = Preset(preset)
-    for what, value in (("depth m", m), ("n", n), ("k", k)):
-        check_integer(what, value)
-    if m < 1:
-        raise ValueError("depth m must be >= 1")
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
+    check_integer("depth m", m, 1)
+    _check_entry(n, k)
     # c(n, k) <= f_m(n), so refuse an entry that could not be printed; top 1
     # first, so that the seed is built only for an n that can pass
     bits = entry_bits(n, m, 1)
@@ -88,23 +92,15 @@ def check_closed_forms(preset: Preset | str, order: int) -> list[bool | str]:
 
 def check_binomial_inversion(n: int, k: int) -> bool:
     """C(n-1, k-1) == sum_{j=1}^{k} (-1)^(j+k) C(k, j) C(n+j-1, n)."""
-    check_integer("n", n)
-    check_integer("k", k)
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
+    _check_entry(n, k)
     rhs = sum((-1) ** (j + k) * comb(k, j) * comb(n + j - 1, n) for j in range(1, k + 1))
     return comb(n - 1, k - 1) == rhs
 
 
 def check_power_expansion(m: int, n: int, k: int) -> bool:
     """m^(n-k) C(n-1, k-1) == sum_j (m-1)^j C(n-1, k+j-1) C(k+j-1, j), m > 1."""
-    check_integer("m", m)
-    check_integer("n", n)
-    check_integer("k", k)
-    if m <= 1:
-        raise ValueError("defined for m > 1")
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
+    check_integer("m", m, 2)
+    _check_entry(n, k)
     lhs = m ** (n - k) * comb(n - 1, k - 1)
     rhs = sum((m - 1) ** j * comb(n - 1, k + j - 1) * comb(k + j - 1, j) for j in range(n - k + 1))
     return lhs == rhs
@@ -128,9 +124,7 @@ def check_word_binomial(n: int, k: int, words: int) -> bool:
 def chebyshev_u(d: int) -> PolynomialZ:
     """Coefficients of the degree-d Chebyshev polynomial of the second kind,
     ascending by degree: u_(-1) = 0, u_0 = 1, u_d = 2x u_(d-1) - u_(d-2)."""
-    check_integer("degree", d)
-    if d < 0:
-        raise ValueError("degree must be >= 0")
+    check_integer("degree", d, 0)
     prev: PolynomialZ = ()
     cur: PolynomialZ = (1,)
     for _ in range(d):
@@ -145,11 +139,8 @@ def check_chebyshev(n: int, k: int, words: int) -> bool:
     """|coefficient of x^(n-k) in u_(n+k-2)| == 2^(n-k) C(n-1, k-1), and both
     equal ``words``, the number of ternary words of length n-1 with exactly
     k-1 twos."""
-    check_integer("n", n)
-    check_integer("k", k)
+    _check_entry(n, k)
     check_integer("words", words)
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
     magnitude = abs(chebyshev_u(n + k - 2)[n - k])
     closed = 2 ** (n - k) * comb(n - 1, k - 1)
     return magnitude == closed == words

@@ -83,9 +83,7 @@ def mat_mul(a: LowerTriangularMatrix, b: LowerTriangularMatrix) -> LowerTriangul
 
 def mat_pow(a: LowerTriangularMatrix, e: int) -> LowerTriangularMatrix:
     """a**e by repeated squaring; e = 0 gives the identity."""
-    check_integer("power", e)
-    if e < 0:
-        raise ValueError("negative powers are not defined here")
+    check_integer("power", e, 0)
     result = pascal_lower(a.order, 0)
     base = a
     while e:

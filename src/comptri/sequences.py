@@ -142,9 +142,7 @@ def invert_transform(f: ArithmeticFunction) -> ArithmeticFunction:
 def iterate_invert(f0: ArithmeticFunction, m: int) -> ArithmeticFunction:
     """The m-th invert transform f_m = P/(Q - m P) for f0's F_0 = P/Q (see
     the module docstring); at m = 0, D = Q expands f0's own values."""
-    check_integer("m", m)
-    if m < 0:
-        raise ValueError("the transform is only iterated forward, m must be >= 0")
+    check_integer("m", m, 0)
     pair = _RATIONAL.get(f0.label) if isinstance(f0.label, str) else None
     if pair is None or _series(*pair, len(f0)) != f0.values:
         pair = (0, *f0.values), (1,)

@@ -63,14 +63,10 @@ ORDER_CAP = 64
 
 
 def _prefix(f0: ArithmeticFunction, m: int, order: int) -> ArithmeticFunction:
-    """f0(1..order), once m and the order are integers (errors.check_integer)
+    """f0(1..order), once m and the order are integers >= 1 (errors.check_integer)
     and the order and the size of the depth-m triangle pass."""
-    check_integer("depth m", m)
-    check_integer("order", order)
-    if m < 1:
-        raise ValueError("depth m must be >= 1")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    check_integer("depth m", m, 1)
+    check_integer("order", order, 1)
     if order > ORDER_CAP:
         raise ValueError(f"order {order} exceeds the cap {ORDER_CAP}")
     if order > len(f0):

@@ -168,7 +168,7 @@ def closed_forms(order: int):
 
 
 @_sweep
-def chebyshev(total: int, budget: int = DEFAULT_BUDGET):
+def chebyshev(total: int, budget: int):
     """Chebyshev coefficients, closed form and word count agree for n + k <= total.
 
     One enumeration of the ternary words of length n-1, counted by twos,
@@ -181,7 +181,7 @@ def chebyshev(total: int, budget: int = DEFAULT_BUDGET):
 
 
 @_sweep
-def word_binomial(total: int, budget: int = DEFAULT_BUDGET):
+def word_binomial(total: int, budget: int):
     """C(n+k-1, 2k-1) equals the 01-avoiding ternary word count for n + k <= total.
 
     One enumeration per n serves every k, and one growth of the word space

@@ -172,12 +172,8 @@ class WordModel(Record):
         marked_letter: int | None = None,
         marked_count: int | None = None,
     ) -> None:
-        check_integer("alphabet size", alphabet)
-        if alphabet < 1:
-            raise ValueError("alphabet size must be >= 1")
-        check_integer("length", length)
-        if length < 0:
-            raise ValueError("length must be >= 0")
+        check_integer("alphabet size", alphabet, 1)
+        check_integer("length", length, 0)
         if type(restriction) is not Restriction:
             raise ValueError(f"unknown restriction {restriction!r}")
         if marked_letter is not None:
@@ -185,11 +181,9 @@ class WordModel(Record):
             if not 0 <= marked_letter < alphabet:
                 raise ValueError("marked letter must belong to the alphabet")
         if marked_count is not None:
-            check_integer("marked count", marked_count)
+            check_integer("marked count", marked_count, 0)
             if marked_letter is None:
                 raise ValueError("a marked count needs a marked letter")
-            if marked_count < 0:
-                raise ValueError("marked count must be >= 0")
         set_field(self, "alphabet", alphabet)
         set_field(self, "length", length)
         set_field(self, "restriction", restriction)
@@ -458,12 +452,8 @@ def oracle_model(preset: Preset | str, m: int, n: int) -> WordModel:
     (see oracle_row).  GE2 is only covered for n > 3.
     """
     preset = Preset(preset)
-    check_integer("depth m", m)
-    check_integer("n", n)
-    if m < 1:
-        raise ValueError("depth m must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_integer("depth m", m, 1)
+    check_integer("n", n, 1)
     if preset is Preset.ONES:
         return WordModel(m + 1, n - 1, Restriction.NONE, m)
     if preset is Preset.FIB:

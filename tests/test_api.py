@@ -2,8 +2,9 @@
 the package imports exactly its public names, the tracer sees every triangle
 route, the README's library session runs and its list of record types is
 whole, no module keeps an unused import or an unused private name or imports
-another's, no public name is used by the unit tests alone, and the triangle
-routes share only what the pinned sharing map allows."""
+another's, each argument rule is written once, no public name is used by the
+unit tests alone, and the triangle routes share only what the pinned sharing
+map allows."""
 
 import ast
 import doctest
@@ -127,6 +128,21 @@ def test_no_module_imports_dataclasses():
                 continue
             found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "dataclasses"]
     assert found == []
+
+
+def test_each_argument_rule_is_written_once():
+    # a floor is the least of errors.check_integer, which words its refusal,
+    # and identities._check_entry holds the one range check 1 <= k <= n; a
+    # string constant counts, the literal parts of an f-string included
+    floors, ranges = [], []
+    for path in sorted(SRC.glob("*.py")):
+        strings = [node.value for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+        if path.name != "errors.py":
+            floors += [f"{path.name} {text!r}" for text in strings if " must be >= " in text]
+        ranges += [path.name for text in strings if "need 1 <= k <= n" in text]
+    assert floors == []
+    assert ranges == ["identities.py"]
 
 
 def _module_names(tree):

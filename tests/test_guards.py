@@ -17,6 +17,7 @@ from comptri import (
     check_output_size,
     check_power_expansion,
     check_word_binomial,
+    closed_form,
     iterate_invert,
     make_seed,
     mark_histogram,
@@ -26,6 +27,7 @@ from comptri import (
     shifted_pascal_inverse,
     triangle_recurrence,
 )
+from comptri.errors import check_integer
 from comptri.sequences import entry_bits
 
 
@@ -156,6 +158,32 @@ GUARDS = {
     "WordModel-unknown-restriction": (
         lambda: WordModel(3, 2, "none"), ValueError, "unknown restriction 'none'"
     ),
+    # each floor is check_integer's least, with its text "<name> must be >= <least>"
+    "triangle_recurrence-depth-zero": (
+        lambda: triangle_recurrence(make_seed("ones", 3), 0, 3), ValueError, "depth m must be >= 1"
+    ),
+    "closed_form-depth-zero": (lambda: closed_form("ones", 0, 3, 1), ValueError, "depth m must be >= 1"),
+    "oracle_model-depth-zero": (lambda: oracle_model("ones", 0, 3), ValueError, "depth m must be >= 1"),
+    "WordModel-empty-alphabet": (lambda: WordModel(0, 2), ValueError, "alphabet size must be >= 1"),
+    "WordModel-negative-length": (lambda: WordModel(3, -1), ValueError, "length must be >= 0"),
+    "WordModel-negative-marked-count": (
+        lambda: WordModel(3, 2, R.NONE, 1, -1), ValueError, "marked count must be >= 0"
+    ),
+    "chebyshev_u-negative-degree": (lambda: chebyshev_u(-1), ValueError, "degree must be >= 0"),
+    "closed_form-k-above-n": (lambda: closed_form("ones", 1, 2, 3), ValueError, "need 1 <= k <= n"),
+    "iterate_invert-negative-m": (
+        lambda: iterate_invert(make_seed("fib", 3), -1), ValueError, "m must be >= 0"
+    ),
+    "mat_pow-negative-power": (lambda: mat_pow(pascal_lower(3), -1), ValueError, "power must be >= 0"),
+    "power_expansion-m-one": (lambda: check_power_expansion(1, 2, 1), ValueError, "m must be >= 2"),
+    # the depth is checked whole, floor included, before the order
+    "triangle_recurrence-depth-zero-before-float-order": (
+        lambda: triangle_recurrence(make_seed("ones", 3), 0, 1.5), ValueError, "depth m must be >= 1"
+    ),
+    "check_integer-bool-with-floor": (
+        lambda: check_integer("m", True, 2), ValueError, "m must be an integer, got True"
+    ),
+    "check_integer-below-floor": (lambda: check_integer("m", 1, 2), ValueError, "m must be >= 2"),
 }
 
 
