@@ -23,7 +23,7 @@ from math import comb
 from operator import mul
 from typing import Sequence
 
-from .errors import InternalConsistencyError, check_integer
+from .errors import InternalConsistencyError, check_integer, check_integers
 from .pascal import LowerTriangularMatrix, mat_mul, pascal_lower
 from .sequences import ArithmeticFunction, invert_transform
 
@@ -38,9 +38,7 @@ def _check_prefix(x: Sequence, n_max: int) -> None:
 def _check_arguments(x: Sequence, n_max: int) -> None:
     """_check_prefix, then refuse an argument x_1..x_{n_max} that is not an int, or is a bool."""
     _check_prefix(x, n_max)
-    for v in x[:n_max]:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"arguments must be integers, got {v!r}")
+    check_integers(x[:n_max], ValueError, "arguments must be integers")
 
 
 def bell_table(x: Sequence[int], n_max: int) -> list[list[int]]:

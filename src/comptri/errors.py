@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and its one integer-argument
-rule: an int that is not a bool, and at least a floor where one is given."""
+"""Exception types shared across the package, and its one integer rule, for an
+argument or each entry of a sequence: an int, not a bool, and at least any floor."""
 
 
 def check_integer(what: str, value, least: int | None = None) -> None:
@@ -9,6 +9,16 @@ def check_integer(what: str, value, least: int | None = None) -> None:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{what} must be >= {least}")
+
+
+def check_integers(values, error: type[Exception], text: str, least: int | None = None) -> None:
+    """Refuse the first entry of ``values`` that is a bool or not an int, or
+    below ``least`` when given, with ``error(f"{text}, got {entry!r}")``."""
+    # plain ints pass on their set of types and their minimum, in C; a scan names the first bad entry
+    if set(map(type, values)) != {int} or least is not None and min(values) < least:
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, int) or least is not None and v < least:
+                raise error(f"{text}, got {v!r}")
 
 
 class ComptriError(Exception):

@@ -6,7 +6,7 @@ from itertools import chain
 from math import comb
 from operator import mul
 
-from .errors import DimensionError, check_integer
+from .errors import DimensionError, check_integer, check_integers
 from .records import Record, set_field
 
 
@@ -28,16 +28,10 @@ class LowerTriangularMatrix(Record):
             raise DimensionError(f"rows must be a sequence of integer rows, got {rows!r}") from None
         if not rows:
             raise DimensionError("a matrix needs at least order 1")
-        # plain int entries pass on the set of their types, built in C; any
-        # others are scanned entry by entry, which names the first bad one
-        plain = set(map(type, chain.from_iterable(rows))) == {int}
         for i, row in enumerate(rows, start=1):
             if len(row) != i:
                 raise DimensionError(f"row {i} must have {i} entries, got {len(row)}")
-            if not plain:
-                for v in row:
-                    if isinstance(v, bool) or not isinstance(v, int):
-                        raise DimensionError(f"entries must be integers, got {v!r}")
+        check_integers(tuple(chain.from_iterable(rows)), DimensionError, "entries must be integers")
         set_field(self, "rows", rows)
 
     @property

@@ -38,7 +38,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import zip_longest
 
-from .errors import InvalidSeedError, OutputSizeError, check_integer
+from .errors import InvalidSeedError, OutputSizeError, check_integer, check_integers
 from .records import Record, set_field
 
 # str() of an int refuses more than 4300 decimal digits (about 14 300 bits)
@@ -99,12 +99,9 @@ class ArithmeticFunction(Record):
             raise InvalidSeedError(f"values must be a sequence of integers, got {values!r}") from None
         if not vals:
             raise InvalidSeedError("an arithmetic function needs at least f(1)")
-        # plain nonnegative ints pass on their set of types and their minimum, in
-        # C; anything else is scanned entry by entry, which names the first bad one
-        if set(map(type, vals)) != {int} or min(vals) < 0:
-            for v in vals:
-                if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                    raise InvalidSeedError(f"entries must be nonnegative integers, got {v!r}")
+        check_integers(vals, InvalidSeedError, "entries must be nonnegative integers", 0)
+        if not isinstance(label, str):
+            raise InvalidSeedError(f"label must be a string, got {label!r}")
         set_field(self, "values", vals)
         set_field(self, "label", label)
 
@@ -143,7 +140,7 @@ def iterate_invert(f0: ArithmeticFunction, m: int) -> ArithmeticFunction:
     """The m-th invert transform f_m = P/(Q - m P) for f0's F_0 = P/Q (see
     the module docstring); at m = 0, D = Q expands f0's own values."""
     check_integer("m", m, 0)
-    pair = _RATIONAL.get(f0.label) if isinstance(f0.label, str) else None
+    pair = _RATIONAL.get(f0.label)
     if pair is None or _series(*pair, len(f0)) != f0.values:
         pair = (0, *f0.values), (1,)
     p, q = pair
@@ -158,12 +155,12 @@ def entry_bits(n: int, m: int, top: int) -> int:
     closed form, so b = bitlen(T) + (n-1) bitlen(m T + 1).  Every triangle
     entry c_m(n, k) is at most f_m(n), and each binomial weight of
     triangle_pascal is at most an entry of the all-ones seed's triangle,
-    which T >= 1 covers, so b bounds them too.  It refuses nothing: a
+    which T >= 1 covers, so b bounds them too.  It refuses no size: a
     caller compares b with MAX_ENTRY_BITS, the bound for one entry.
     """
-    check_integer("n", n)
-    check_integer("m", m)
-    check_integer("top", top)
+    check_integer("n", n, 1)
+    check_integer("m", m, 0)
+    check_integer("top", top, 0)
     top = max(top, 1)
     return top.bit_length() + (n - 1) * (m * top + 1).bit_length()
 

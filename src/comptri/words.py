@@ -36,8 +36,9 @@ which stays in cache.  Each word is still built from its own letters
 and tested on its own, once per length asked for; ``mark_histogram`` is the
 one-length case.  A one-letter alphabet has one word, 0^L, tested with one
 mask per plane, without the letter-by-letter growth.  ``budget`` bounds
-A**length, for each length before any work on it; larger spaces raise
-EnumerationBudgetError instead of running forever.
+A**length, and the histogram's length + 1 entries, which only a one-letter
+space can make the larger, for each length before any work on it; larger
+spaces raise EnumerationBudgetError instead of running forever.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import itertools
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EnumerationBudgetError, check_integer
+from .errors import EnumerationBudgetError, check_integer, check_integers
 from .records import Record, set_field
 from .sequences import Preset
 
@@ -192,15 +193,18 @@ class WordModel(Record):
 
 
 def _fits(alphabet: int, length: int, budget: int) -> bool:
-    # alphabet**length >= 2**((bits - 1) * length), which exceeds the budget
-    # from its bit length on, so a large space is refused before its power is formed
-    return (alphabet.bit_length() - 1) * length < budget.bit_length() and alphabet**length <= budget
+    # alphabet**length >= 2**((bits - 1) * length), which exceeds the budget from its
+    # bit length on, so a large space is refused before its power is formed; the
+    # histogram's length + 1 entries outnumber the words only for one letter
+    bits = (alphabet.bit_length() - 1) * length
+    return bits < budget.bit_length() and max(alphabet**length, length + 1) <= budget
 
 
 def _check_budget(alphabet: int, length: int, budget: int) -> None:
     check_integer("budget", budget)
     if not _fits(alphabet, length, budget):  # the message never expands the power
-        raise EnumerationBudgetError(f"{alphabet}**{length} words exceeds the budget {budget}")
+        space = f"{alphabet}**{length} words" if alphabet > 1 else f"a histogram of {length + 1} entries"
+        raise EnumerationBudgetError(f"{space} exceeds the budget {budget}")
 
 
 def _lead(lo: int, hi: int, marked_letter: int, reads: tuple[int, ...], dtype):
@@ -419,10 +423,9 @@ def composition_to_word(parts: Sequence[int]) -> Word:
     """
     if not parts:
         raise ValueError("a composition needs at least one part")
+    check_integers(parts, ValueError, "parts must be positive integers", 1)
     out: list[int] = []
     for p in parts:
-        if p < 1:
-            raise ValueError(f"parts must be positive, got {p}")
         out.append(1)
         out.extend([0] * (p - 1))
     return tuple(out[1:])
@@ -430,6 +433,7 @@ def composition_to_word(parts: Sequence[int]) -> Word:
 
 def word_to_composition(word: Sequence[int]) -> list[int]:
     """Decode a binary word back to a composition; inverse of composition_to_word."""
+    check_integers(word, ValueError, "letters must be integers")
     parts: list[int] = []
     current = 1
     for letter in word:

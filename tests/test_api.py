@@ -2,9 +2,9 @@
 the package imports exactly its public names, the tracer sees every triangle
 route, the README's library session runs and its list of record types is
 whole, no module keeps an unused import or an unused private name or imports
-another's, each argument rule is written once, no public name is used by the
-unit tests alone, and the triangle routes share only what the pinned sharing
-map allows."""
+another's, each argument rule is written once and only errors refuses a
+bool, no public name is used by the unit tests alone, and the triangle routes
+share only what the pinned sharing map allows."""
 
 import ast
 import doctest
@@ -143,6 +143,23 @@ def test_each_argument_rule_is_written_once():
         ranges += [path.name for text in strings if "need 1 <= k <= n" in text]
     assert floors == []
     assert ranges == ["identities.py"]
+
+
+def test_only_errors_refuses_a_bool():
+    # errors.check_integer and errors.check_integers are the one home of the
+    # integer rule, so no other module tests isinstance(<x>, bool)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+            and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+        ]
+    assert found == []
 
 
 def _module_names(tree):

@@ -5,6 +5,7 @@ import pytest
 from comptri import (
     ArithmeticFunction,
     DimensionError,
+    EnumerationBudgetError,
     InvalidSeedError,
     LowerTriangularMatrix,
     Restriction as R,
@@ -18,6 +19,7 @@ from comptri import (
     check_power_expansion,
     check_word_binomial,
     closed_form,
+    composition_to_word,
     iterate_invert,
     make_seed,
     mark_histogram,
@@ -26,6 +28,7 @@ from comptri import (
     pascal_lower,
     shifted_pascal_inverse,
     triangle_recurrence,
+    word_to_composition,
 )
 from comptri.errors import check_integer
 from comptri.sequences import entry_bits
@@ -184,6 +187,28 @@ GUARDS = {
         lambda: check_integer("m", True, 2), ValueError, "m must be an integer, got True"
     ),
     "check_integer-below-floor": (lambda: check_integer("m", 1, 2), ValueError, "m must be >= 2"),
+    "entry_bits-negative-n": (lambda: entry_bits(-5, 1, 1), ValueError, "n must be >= 1"),
+    "check_output_size-negative-m": (lambda: check_output_size(3, -1, 1), ValueError, "m must be >= 0"),
+    "entry_bits-negative-top": (lambda: entry_bits(3, 1, -1), ValueError, "top must be >= 0"),
+    # an entry scan names its first bad entry under its caller's text and type
+    "composition_to_word-bool-part": (
+        lambda: composition_to_word([True, 2]), ValueError, "parts must be positive integers, got True"
+    ),
+    "composition_to_word-float-part": (
+        lambda: composition_to_word([1.5]), ValueError, "parts must be positive integers, got 1.5"
+    ),
+    "word_to_composition-bool-letter": (
+        lambda: word_to_composition((True, False, 1.0)), ValueError, "letters must be integers, got True"
+    ),
+    "ArithmeticFunction-list-label": (
+        lambda: ArithmeticFunction((1, 2, 3), label=["x"]), InvalidSeedError, "label must be a string, got ['x']"
+    ),
+    # a one-letter space has one word but still length + 1 histogram entries
+    "mark_histogram-one-letter-over-budget": (
+        lambda: mark_histogram(1, 10, R.ISOLATED_ZEROS, 0, budget=10),
+        EnumerationBudgetError,
+        "a histogram of 11 entries exceeds the budget 10",
+    ),
 }
 
 
