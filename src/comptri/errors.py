@@ -11,14 +11,16 @@ def check_integer(what: str, value, least: int | None = None) -> None:
         raise ValueError(f"{what} must be >= {least}")
 
 
-def check_integers(values, error: type[Exception], text: str, least: int | None = None) -> None:
-    """Refuse the first entry of ``values`` that is a bool or not an int, or
-    below ``least`` when given, with ``error(f"{text}, got {entry!r}")``."""
+def check_integers(values, error: type[Exception], text: str, least: int | None = None) -> tuple:
+    """``values`` as a tuple, once no entry is a bool or not an int, or below
+    ``least`` when given; the first that is raises ``error(f"{text}, got {entry!r}")``."""
+    values = tuple(values)
     # plain ints pass on their set of types and their minimum, in C; a scan names the first bad entry
     if set(map(type, values)) != {int} or least is not None and min(values) < least:
         for v in values:
             if isinstance(v, bool) or not isinstance(v, int) or least is not None and v < least:
                 raise error(f"{text}, got {v!r}")
+    return values
 
 
 class ComptriError(Exception):

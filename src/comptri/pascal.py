@@ -31,7 +31,7 @@ class LowerTriangularMatrix(Record):
         for i, row in enumerate(rows, start=1):
             if len(row) != i:
                 raise DimensionError(f"row {i} must have {i} entries, got {len(row)}")
-        check_integers(tuple(chain.from_iterable(rows)), DimensionError, "entries must be integers")
+        check_integers(chain.from_iterable(rows), DimensionError, "entries must be integers")
         set_field(self, "rows", rows)
 
     @property

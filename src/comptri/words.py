@@ -36,9 +36,8 @@ which stays in cache.  Each word is still built from its own letters
 and tested on its own, once per length asked for; ``mark_histogram`` is the
 one-length case.  A one-letter alphabet has one word, 0^L, tested with one
 mask per plane, without the letter-by-letter growth.  ``budget`` bounds
-A**length, and the histogram's length + 1 entries, which only a one-letter
-space can make the larger, for each length before any work on it; larger
-spaces raise EnumerationBudgetError instead of running forever.
+A**length and the histogram's length + 1 entries, for each length before any
+work on it; larger ones raise EnumerationBudgetError instead of running forever.
 """
 
 from __future__ import annotations
@@ -193,9 +192,8 @@ class WordModel(Record):
 
 
 def _fits(alphabet: int, length: int, budget: int) -> bool:
-    # alphabet**length >= 2**((bits - 1) * length), which exceeds the budget from its
-    # bit length on, so a large space is refused before its power is formed; the
-    # histogram's length + 1 entries outnumber the words only for one letter
+    # alphabet**length >= 2**((bits - 1) * length), past the budget from its bit length on, so a
+    # large space is refused before its power is formed; only one letter has fewer words than length + 1
     bits = (alphabet.bit_length() - 1) * length
     return bits < budget.bit_length() and max(alphabet**length, length + 1) <= budget
 
@@ -421,9 +419,9 @@ def composition_to_word(parts: Sequence[int]) -> Word:
     A composition of n into k parts becomes a word of length n - 1 with
     k - 1 ones.
     """
+    parts = check_integers(parts, ValueError, "parts must be positive integers", 1)
     if not parts:
         raise ValueError("a composition needs at least one part")
-    check_integers(parts, ValueError, "parts must be positive integers", 1)
     out: list[int] = []
     for p in parts:
         out.append(1)
@@ -433,10 +431,9 @@ def composition_to_word(parts: Sequence[int]) -> Word:
 
 def word_to_composition(word: Sequence[int]) -> list[int]:
     """Decode a binary word back to a composition; inverse of composition_to_word."""
-    check_integers(word, ValueError, "letters must be integers")
     parts: list[int] = []
     current = 1
-    for letter in word:
+    for letter in check_integers(word, ValueError, "letters must be integers"):
         if letter == 1:
             parts.append(current)
             current = 1

@@ -544,6 +544,9 @@ def all_compositions(n):
 def test_bijection_example():
     assert composition_to_word([2, 3]) == (0, 1, 0, 0)
     assert word_to_composition((0, 1, 0, 0)) == [2, 3]
+    # an iterator is read once, by the entry check and the encoding alike
+    assert composition_to_word(iter([2, 3])) == (0, 1, 0, 0)
+    assert word_to_composition(iter((0, 1, 0, 0))) == [2, 3]
 
 
 def test_bijection_round_trip():
