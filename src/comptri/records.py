@@ -29,6 +29,9 @@ class Record:
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 

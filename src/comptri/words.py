@@ -422,11 +422,7 @@ def composition_to_word(parts: Sequence[int]) -> Word:
     parts = check_integers(parts, ValueError, "parts must be positive integers", 1)
     if not parts:
         raise ValueError("a composition needs at least one part")
-    out: list[int] = []
-    for p in parts:
-        out.append(1)
-        out.extend([0] * (p - 1))
-    return tuple(out[1:])
+    return tuple(itertools.chain.from_iterable((1,) + (0,) * (p - 1) for p in parts))[1:]
 
 
 def word_to_composition(word: Sequence[int]) -> list[int]:

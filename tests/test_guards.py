@@ -1,5 +1,6 @@
 """Argument guards raise their documented exception type and message."""
 
+import numpy as np
 import pytest
 
 from comptri import (
@@ -199,6 +200,17 @@ GUARDS = {
     ),
     "word_to_composition-bool-letter": (
         lambda: word_to_composition((True, False, 1.0)), ValueError, "letters must be integers, got True"
+    ),
+    # numpy integers are not ints, so they are refused as the seed's entries are
+    "composition_to_word-numpy-part": (
+        lambda: composition_to_word(np.array([2, 3], np.int64)),
+        ValueError,
+        f"parts must be positive integers, got {np.int64(2)!r}",
+    ),
+    "word_to_composition-numpy-letter": (
+        lambda: word_to_composition(np.array([0, 1, 0, 0], np.int64)),
+        ValueError,
+        f"letters must be integers, got {np.int64(0)!r}",
     ),
     "ArithmeticFunction-list-label": (
         lambda: ArithmeticFunction((1, 2, 3), label=["x"]), InvalidSeedError, "label must be a string, got ['x']"

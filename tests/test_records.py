@@ -92,6 +92,9 @@ def test_defaults_and_normalisation():
     model = WordModel(3, 2)
     assert (model.restriction, model.marked_letter, model.marked_count) == (R.NONE, None, None)
     assert ArithmeticFunction((1, 2)) != ArithmeticFunction((1, 2), label="x")
+    match WordModel(3, 2, R.AVOID_01, 1, 0):
+        case WordModel(alphabet, length, restriction, marked_letter, marked_count):
+            assert (alphabet, length, restriction, marked_letter, marked_count) == (3, 2, R.AVOID_01, 1, 0)
     # a record equals only records of its own class, never a tuple of its fields
     assert WordModel(3, 2) != (3, 2, R.NONE, None, None)
     assert Sweep("bell_identity", 6, (), 0.5) != ("bell_identity", 6, (), 0.5)
